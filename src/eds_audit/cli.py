@@ -40,6 +40,9 @@ COMPARE_CONFLUENCE_SEEDS = tuple(range(1, 6))
 AUDIT_CONFLUENCE_SEEDS = tuple(range(1, 21))
 AUDIT_DEFAULT_MAX_N = 20
 
+# skip-row reason for a graph above the oracle or audit size guard
+REASON_CAPACITY = "capacity"
+
 
 def _print(line: str, out) -> None:
     out.write(line + "\n")
@@ -202,12 +205,16 @@ def _compare_one(graph6: str, genspec: str | None, deterministic: bool,
     if err:
         return {"skip": SkipRecord(graph6, g.n, err, genspec).to_json_dict()}
 
+    # the oracle runs first so a graph above its guard skips decide as well
+    t0 = time.perf_counter()
+    try:
+        oracle = solve_exact(g, max_n=cap)
+    except CapacityError:
+        return {"skip": SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()}
+    elapsed_oracle = time.perf_counter() - t0
     t0 = time.perf_counter()
     decision = decide_eds(g)
     elapsed_decide = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    oracle = solve_exact(g, max_n=cap)
-    elapsed_oracle = time.perf_counter() - t0
 
     flags = []
     if decision.reason == REASON_EXHAUSTED:
@@ -263,12 +270,15 @@ def cmd_compare(args) -> int:
         cap = oracle_cap(args)
         jobs = 1 if args.deterministic else max(1, args.jobs)
         results = _run_compare(inputs, args.deterministic, cap, jobs)
+        status = EXIT_OK
         totals = {"rows": 0, "skips": 0, "agreements": 0,
                   "counterexamples": 0, "max_work_counter": 0}
         for result in results:
             if "skip" in result:
                 _print(json_line(result["skip"]), out)
                 totals["skips"] += 1
+                if result["skip"]["reason"] == REASON_CAPACITY:
+                    status = EXIT_CAPACITY
                 continue
             row = result["row"]
             _print(json_line(row), out)
@@ -296,7 +306,7 @@ def cmd_compare(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return EXIT_OK
+    return status
 
 
 def _run_compare(inputs, deterministic, cap, jobs):
@@ -385,7 +395,7 @@ def cmd_audit_facts(args) -> int:
             try:
                 row = _audit_one(graph6, genspec, cap)
             except CapacityError:
-                skip = SkipRecord(graph6, parse_graph6(graph6).n, "capacity", genspec)
+                skip = SkipRecord(graph6, parse_graph6(graph6).n, REASON_CAPACITY, genspec)
                 _print(json_line(skip.to_json_dict()), out)
                 status = max(status, EXIT_CAPACITY)
                 continue

@@ -86,27 +86,22 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     if (n * r) % 2:
         raise ValueError("random regular graph needs n*r even")
     master = SplitMix64(seed)
+    template = [v for v in range(n) for _ in range(r)]
     for _ in range(PAIRING_RETRY_BUDGET):
-        rng = SplitMix64(master.next_u64())
-        stubs = [v for v in range(n) for _ in range(r)]
-        rng.shuffle(stubs)
+        stubs = template.copy()
+        SplitMix64(master.next_u64()).shuffle(stubs)
         seen: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
+        for u, v in zip(stubs[::2], stubs[1::2]):
             if u == v:
-                ok = False
                 break
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
-                ok = False
                 break
             seen.add(key)
-        if not ok:
-            continue
-        g = Graph.from_edges(n, sorted(seen))
-        if is_connected(g):
-            return g
+        else:
+            g = Graph.from_edges(n, sorted(seen))
+            if is_connected(g):
+                return g
     raise CapacityError(
         f"no simple connected pairing for n={n}, r={r}, seed={seed} "
         f"within {PAIRING_RETRY_BUDGET} attempts")

@@ -87,6 +87,20 @@ class Graph:
             out.append(tuple(sorted(reach)))
         return tuple(out)
 
+    @cached_property
+    def drop_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per-vertex drop-filter table: for each v, the pairs
+        (c, N(c) - N(v)) for every c at distance exactly 2, in ascending c.
+
+        v is droppable from a candidate set A exactly when some row's second
+        entry is disjoint from A.  Tuples rather than frozensets keep the
+        table small on dense graphs.
+        """
+        adj = self.adj
+        return tuple(
+            tuple((c, tuple(adj[c] - adj[v])) for c in self.second_lists[v])
+            for v in range(self.n))
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")

@@ -34,9 +34,16 @@ class SplitMix64:
         return self.next_u64() % bound
 
     def shuffle(self, items: list) -> None:
+        # next_u64() % (i + 1) inlined on a local copy of the state, written
+        # back once: same draws, no method calls per swap
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
 
 def rank_permutation(n: int, seed: int) -> list[int]:

@@ -6,6 +6,7 @@ import io
 import json
 
 import eds_audit.cli as cli
+from eds_audit import reduction
 from eds_audit.generators import gen_random_regular
 from eds_audit.graph import encode_graph6
 from eds_audit.records import parse_record_line, replay_counterexample
@@ -155,6 +156,31 @@ def test_compare_skip_rows(capsys, tmp_path, monkeypatch):
     kinds = [type(r).__name__ for r in rows]
     assert kinds == ["SkipRecord", "CompareRecord"]
     assert rows[0].reason == "not-regular"
+
+
+def test_compare_capacity_skip_continues(capsys, tmp_path):
+    # a graph above the oracle guard becomes a skip row; later graphs and
+    # the summary still come out, and the exit code reports the capacity hit
+    p = tmp_path / "in.txt"
+    p.write_text("".join(encode_graph6(g) + "\n" for g in (cycle(6), cycle(30), cycle(9))))
+    code, out, _ = run(capsys, "compare", "--deterministic", "--max-n", "20", str(p))
+    assert code == 3
+    rows = out_lines(out)
+    assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
+    assert rows[1]["reason"] == "capacity" and rows[1]["n"] == 30
+    assert [rows[0]["n"], rows[2]["n"]] == [6, 9]
+    assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
+
+
+def test_compare_work_budget_flag(capsys, monkeypatch):
+    # with a tiny budget the harness records the finding instead of crashing
+    monkeypatch.setattr(reduction, "work_budget", lambda n: 1)
+    monkeypatch.setattr(cli, "work_budget", lambda n: 1)
+    code, out, _ = run(capsys, "compare", "--deterministic", "--gen", "cycle:n=6")
+    assert code == 0
+    row = out_lines(out)[0]
+    assert row["work_counter"] > 1
+    assert "work-budget-exceeded" in row["claim_audit_flags"]
 
 
 def test_compare_unwritable_out(capsys, tmp_path):

@@ -6,16 +6,19 @@ import json
 
 import pytest
 
-from eds_audit.generators import gen_random_regular
+from eds_audit import reduction
+from eds_audit.generators import gen_random_regular, parse_genspec
 from eds_audit.graph import Graph
 from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
-    STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, decide_eds, decide_with_order,
-    drop_witness, probe, reduce_to_fixpoint, work_budget,
+    STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, TraceEvent, decide_eds,
+    decide_with_order, drop_witness, probe, reduce_to_fixpoint, work_budget,
 )
+from eds_audit.rng import rank_permutation
 
 from .conftest import all_eds_bruteforce, complete, cycle, hypercube, path, petersen, two_triangles
+from .test_acceptance import criterion1_corpus
 
 
 def everything(g: Graph) -> frozenset[int]:
@@ -318,3 +321,87 @@ class TestSoundness:
                 res = probe(g, final, anchor)
                 if res.survivors:
                     assert anchor in res.survivors
+
+
+# Reference rescan reduction: the original drop_witness and _reduce, which
+# build N(c) - N(v) per test and re-sort the candidates after every drop.
+# The table-driven _reduce must reproduce its tests, drops and witnesses.
+
+
+def reference_drop_witness(g, candidates, v, work=None):
+    g._check_vertex(v)
+    if v not in candidates:
+        raise ValueError(f"vertex {v} is not in the candidate set")
+    if work is not None:
+        work.tests += 1
+    nv = g.adj[v]
+    for c in g.second_lists[v]:
+        if candidates.isdisjoint(g.adj[c] - nv):
+            return c
+    return None
+
+
+def reference_reduce(g, current, order, stage, work, events):
+    key = None if order is None else order.__getitem__
+    while True:
+        for v in sorted(current, key=key):
+            c = reference_drop_witness(g, current, v, work)
+            if c is not None:
+                current.discard(v)
+                events.append(TraceEvent(KIND_DROP, v, c, stage))
+                break
+        else:
+            return current
+
+
+def on_reference(fn, *args, **kwargs):
+    """Call ``fn`` with the reference reduction in place of _reduce."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_reduce", reference_reduce)
+        return fn(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def identity_corpus():
+    cubic = [gen_random_regular(n, 3, seed)
+             for n in range(8, 21, 2) for seed in range(1, 21)]
+    return criterion1_corpus() + cubic
+
+
+def test_fixpoint_and_probe_trace_identity(identity_corpus):
+    for g in identity_corpus:
+        for order in [None] + [rank_permutation(g.n, seed) for seed in (1, 2)]:
+            got = reduce_to_fixpoint(g, everything(g), order=order)
+            assert got == on_reference(reduce_to_fixpoint, g, everything(g), order=order)
+        baseline, _ = reduce_to_fixpoint(g, everything(g))
+        for anchor in sorted(baseline):
+            got = probe(g, baseline, anchor)
+            assert got == on_reference(probe, g, baseline, anchor), (g, anchor)
+
+
+def test_decide_trace_identity(identity_corpus):
+    # Decision equality covers verdict, reason, certificate, final set, the
+    # full trace and work_counter
+    for g in identity_corpus:
+        assert decide_eds(g) == on_reference(decide_eds, g), g
+        for seed in range(1, 6):
+            assert decide_with_order(g, seed) == on_reference(decide_with_order, g, seed), \
+                (g, seed)
+
+
+@pytest.mark.parametrize("spec, tests", [
+    ("cycle:n=300", 20394),
+    ("cycle:n=600", 80794),
+    ("hypercube:d=7", 1453),
+    ("hypercube:d=8", 2219),
+])
+def test_ladder_work_counts_pinned(spec, tests):
+    # droppability tests of the rescan reduction on the large ladder graphs
+    assert decide_eds(parse_genspec(spec).build()).work_counter == tests
+
+
+def test_probe_rejects_out_of_range_candidates(c6):
+    with pytest.raises(ValueError, match="out of range"):
+        probe(c6, frozenset({0, 3, 6}), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        probe(c6, frozenset({-1, 0, 3}), 0)
