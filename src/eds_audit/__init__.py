@@ -1,19 +1,19 @@
 """Efficient-dominating-set decision procedure, exact oracle, and audit harness."""
 
-from .eds import EdsCertificate, eds_size_bound, is_dominating, verify_eds
+from .eds import EdsCertificate, eds_size_bound, verify_eds
 from .errors import CapacityError, ParseError
 from .generators import (
     GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
     gen_petersen, gen_random_regular, parse_genspec,
 )
 from .graph import (
-    Graph, VertexSet, closed_neighbors, encode_graph6, is_connected,
-    is_regular, neighbors, parse_edge_list, parse_graph6, second_neighborhood,
+    Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_edge_list,
+    parse_graph6,
 )
 from .oracle import OracleReport, solve_exact, solve_naive
 from .reduction import (
-    Decision, ProbeResult, TraceEvent, decide_eds, decide_with_order,
-    drop_witness, probe, reduce_to_fixpoint, work_budget,
+    Decision, ProbeResult, TraceEvent, decide_eds, drop_witness, probe,
+    reduce_to_fixpoint, work_budget,
 )
 
 __version__ = "0.1.0"
@@ -21,11 +21,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "Decision", "EdsCertificate", "GenSpec", "Graph",
     "OracleReport", "ParseError", "ProbeResult", "TraceEvent", "VertexSet",
-    "closed_neighbors", "decide_eds", "decide_with_order", "drop_witness",
-    "eds_size_bound", "encode_graph6", "gen_circulant", "gen_complete",
-    "gen_cycle", "gen_hypercube", "gen_petersen", "gen_random_regular",
-    "is_connected", "is_dominating", "is_regular", "neighbors",
+    "decide_eds", "drop_witness", "eds_size_bound", "encode_graph6",
+    "gen_circulant", "gen_complete", "gen_cycle", "gen_hypercube",
+    "gen_petersen", "gen_random_regular", "is_connected", "is_regular",
     "parse_edge_list", "parse_genspec", "parse_graph6", "probe",
-    "reduce_to_fixpoint", "second_neighborhood", "solve_exact", "solve_naive",
-    "verify_eds", "work_budget",
+    "reduce_to_fixpoint", "solve_exact", "solve_naive", "verify_eds",
+    "work_budget",
 ]

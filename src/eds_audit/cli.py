@@ -11,10 +11,12 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
+from typing import Iterator
 
-from .eds import verify_eds
 from .errors import CapacityError, ParseError
 from .generators import GenSpec, parse_genspec
 from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_list, parse_graph6
@@ -25,7 +27,7 @@ from .records import (
     decide_report_doc, json_line, oracle_report_doc, save_counterexample,
 )
 from .reduction import (
-    REASON_EXHAUSTED, VERDICT_DISCREPANCY, VERDICT_FOUND,
+    REASON_EXHAUSTED, VERDICT_DISCREPANCY,
     decide_eds, drop_witness, probe, reduce_to_fixpoint, work_budget,
 )
 from .rng import rank_permutation
@@ -95,20 +97,21 @@ def _parse_seed_range(text: str) -> range:
         raise ParseError(f"bad seed range {text!r}") from None
 
 
-def collect_inputs(args) -> list[tuple[str, str | None]]:
-    """Resolve the input source to a list of (graph6, genspec-or-None).
+def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph]]:
+    """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    Graphs are re-encoded to canonical graph6 so every downstream record and
-    replay refers to the same string.
+    Errors in the input source (input given with --gen, a missing file, an
+    empty input) are raised by this call, before the caller opens its output.
+    Each graph of a file, stdin or --gen is then built or decoded right before
+    the caller processes it, and only once.  Its canonical graph6 string is what every downstream
+    record and replay refers to.
     """
     gen_args = getattr(args, "gen", None) or []
     if gen_args:
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
-        out = []
-        for spec in expand_gen_args(gen_args, getattr(args, "seeds", None)):
-            out.append((encode_graph6(spec.build()), spec.canonical()))
-        return out
+        return _built(expand_gen_args(gen_args, getattr(args, "seeds", None)))
+    literal = False
     if args.input is None or args.input == "-":
         text = sys.stdin.read()
     else:
@@ -116,39 +119,48 @@ def collect_inputs(args) -> list[tuple[str, str | None]]:
         if path.exists():
             text = path.read_text(encoding="utf-8")
         elif args.format == "graph6":
-            text = args.input  # literal graph6 string
+            # a literal graph6 string, or a mistyped file name: decoded now
+            text, literal = args.input, True
         else:
             raise ParseError(f"input file {args.input!r} not found")
     if args.format == "edgelist":
-        return [(encode_graph6(parse_edge_list(text)), None)]
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+        g = parse_edge_list(text)
+        return iter([(encode_graph6(g), None, g)])
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if not lines:
+        raise ParseError("no graphs in input")
+    return iter(list(_decoded(lines))) if literal else _decoded(lines)
+
+
+def _built(specs: list[GenSpec]) -> Iterator[tuple[str, str, Graph]]:
+    for spec in specs:
+        g = spec.build()
+        yield encode_graph6(g), spec.canonical(), g
+
+
+def _decoded(lines: list[tuple[int, str]]) -> Iterator[tuple[str, None, Graph]]:
+    for lineno, line in lines:
         try:
             g = parse_graph6(line)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        out.append((encode_graph6(g), None))
-    if not out:
-        raise ParseError("no graphs in input")
-    return out
+        yield encode_graph6(g), None, g
 
 
 def _open_out(args):
+    """The --out file, or stdout left open on exit."""
     if getattr(args, "out", None):
         return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+    return nullcontext(sys.stdout)
 
 
 # decide
 
 
 def cmd_decide(args) -> int:
-    inputs = collect_inputs(args)
     status = EXIT_OK
-    for graph6, _ in inputs:
-        g = parse_graph6(graph6)
+    for graph6, _, g in collect_inputs(args):
         err = precondition_error(g)
         if err:
             _print(json_line({"graph6": graph6, "error": err}), sys.stdout)
@@ -173,11 +185,9 @@ def precondition_error(g: Graph) -> str | None:
 
 
 def cmd_oracle(args) -> int:
-    inputs = collect_inputs(args)
     cap = oracle_cap(args)
     status = EXIT_OK
-    for graph6, _ in inputs:
-        g = parse_graph6(graph6)
+    for graph6, _, g in collect_inputs(args):
         try:
             report = solve_exact(g, enumerate_all=args.enumerate, max_n=cap)
         except CapacityError as exc:
@@ -197,10 +207,22 @@ def cmd_oracle(args) -> int:
 # compare
 
 
-def _compare_one(graph6: str, genspec: str | None, deterministic: bool,
+def _confluence_violations(g: Graph, baseline: frozenset[int],
+                           seeds) -> Iterator[tuple[int, frozenset[int]]]:
+    """Yield (seed, fixpoint) for each seeded scan order whose drop-filter
+    fixpoint differs from ``baseline``, the ascending-order fixpoint."""
+    everything = frozenset(range(g.n))
+    for seed in seeds:
+        seeded, _ = reduce_to_fixpoint(g, everything, order=rank_permutation(g.n, seed))
+        if seeded != baseline:
+            yield seed, seeded
+
+
+def _compare_one(item: tuple[str, str | None, Graph], deterministic: bool,
                  cap: int | None) -> dict:
-    """Worker for one compare row; returns row + optional counterexample parts."""
-    g = parse_graph6(graph6)
+    """One compare row for a collect_inputs item; returns row + optional
+    counterexample parts."""
+    graph6, genspec, g = item
     err = precondition_error(g)
     if err:
         return {"skip": SkipRecord(graph6, g.n, err, genspec).to_json_dict()}
@@ -222,25 +244,18 @@ def _compare_one(graph6: str, genspec: str | None, deterministic: bool,
         if oracle.has_eds:
             flags.append(FLAG_PROBE_CONVERSE)
     baseline, _ = reduce_to_fixpoint(g, frozenset(range(g.n)))
-    for seed in COMPARE_CONFLUENCE_SEEDS:
-        seeded, _ = reduce_to_fixpoint(g, frozenset(range(g.n)),
-                                       order=rank_permutation(g.n, seed))
-        if seeded != baseline:
-            flags.append(FLAG_CONFLUENCE)
-            break
+    if next(_confluence_violations(g, baseline, COMPARE_CONFLUENCE_SEEDS), None) is not None:
+        flags.append(FLAG_CONFLUENCE)
     if decision.work_counter > work_budget(g.n):
         flags.append(FLAG_WORK_BUDGET)
-
-    cert_valid = None
-    if decision.verdict == VERDICT_FOUND:
-        cert_valid = verify_eds(g, decision.certificate.members)
 
     record = CompareRecord(
         graph6=graph6, n=g.n, r=len(g.adj[0]),
         decide_verdict=decision.verdict, decide_reason=decision.reason,
         oracle_has_eds=oracle.has_eds,
         agree=compute_agree(decision.verdict, oracle.has_eds),
-        certificate_valid=cert_valid, claim_audit_flags=tuple(flags),
+        certificate_valid=True if decision.certificate else None,
+        claim_audit_flags=tuple(flags),
         work_counter=decision.work_counter,
         elapsed_decide=0.0 if deterministic else elapsed_decide,
         elapsed_oracle=0.0 if deterministic else elapsed_oracle,
@@ -255,21 +270,15 @@ def _compare_one(graph6: str, genspec: str | None, deterministic: bool,
     return out
 
 
-def _compare_worker(payload: tuple) -> dict:
-    return _compare_one(*payload)
-
-
 def cmd_compare(args) -> int:
-    # fail on an unwritable output path before any processing
-    out = _open_out(args)
     save_dir = Path(args.save_counterexamples) if args.save_counterexamples else None
-    try:
+    inputs = collect_inputs(args)
+    # fail on an unwritable output path before any processing
+    with _open_out(args) as out:
         if save_dir is not None:
             save_dir.mkdir(parents=True, exist_ok=True)
-        inputs = collect_inputs(args)
-        cap = oracle_cap(args)
-        jobs = 1 if args.deterministic else max(1, args.jobs)
-        results = _run_compare(inputs, args.deterministic, cap, jobs)
+        results = _run_compare(inputs, args.deterministic,
+                               oracle_cap(args), max(1, args.jobs))
         status = EXIT_OK
         totals = {"rows": 0, "skips": 0, "agreements": 0,
                   "counterexamples": 0, "max_work_counter": 0}
@@ -303,29 +312,23 @@ def cmd_compare(args) -> int:
             "counterexamples": totals["counterexamples"],
         }
         _print(json_line(summary), sys.stdout)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return status
 
 
 def _run_compare(inputs, deterministic, cap, jobs):
+    """Compare results in input order, serially or over ``jobs`` processes."""
+    one = partial(_compare_one, deterministic=deterministic, cap=cap)
     if jobs == 1:
-        for graph6, genspec in inputs:
-            yield _compare_one(graph6, genspec, deterministic, cap)
+        yield from map(one, inputs)
         return
-    payloads = [(graph6, genspec, deterministic, cap) for graph6, genspec in inputs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_compare_worker, p) for p in payloads]
-        for fut in as_completed(futures):
-            yield fut.result()
+        yield from pool.map(one, inputs)
 
 
 # audit-facts
 
 
-def _audit_one(graph6: str, genspec: str | None, cap: int) -> dict:
-    g = parse_graph6(graph6)
+def _audit_one(graph6: str, genspec: str | None, g: Graph, cap: int) -> dict:
     if g.n == 0:
         return SkipRecord(graph6, 0, "empty-graph", genspec).to_json_dict()
     if g.n > cap:
@@ -359,12 +362,9 @@ def _audit_one(graph6: str, genspec: str | None, cap: int) -> dict:
             converse_violations.append({"anchor": anchor,
                                         "survivors": sorted(result.survivors)})
 
-    confluence_violations = []
-    for seed in AUDIT_CONFLUENCE_SEEDS:
-        seeded, _ = reduce_to_fixpoint(g, everything,
-                                       order=rank_permutation(g.n, seed))
-        if seeded != baseline:
-            confluence_violations.append({"seed": seed, "fixpoint": sorted(seeded)})
+    confluence_violations = [
+        {"seed": seed, "fixpoint": sorted(seeded)}
+        for seed, seeded in _confluence_violations(g, baseline, AUDIT_CONFLUENCE_SEEDS)]
 
     degree = is_regular(g)
     return {
@@ -384,18 +384,17 @@ def _audit_one(graph6: str, genspec: str | None, cap: int) -> dict:
 
 
 def cmd_audit_facts(args) -> int:
-    inputs = collect_inputs(args)
     cap = args.max_n if args.max_n is not None else AUDIT_DEFAULT_MAX_N
-    out = _open_out(args)
     status = EXIT_OK
     sound = 0
     total = 0
-    try:
-        for graph6, genspec in inputs:
+    inputs = collect_inputs(args)
+    with _open_out(args) as out:
+        for graph6, genspec, g in inputs:
             try:
-                row = _audit_one(graph6, genspec, cap)
+                row = _audit_one(graph6, genspec, g, cap)
             except CapacityError:
-                skip = SkipRecord(graph6, parse_graph6(graph6).n, REASON_CAPACITY, genspec)
+                skip = SkipRecord(graph6, g.n, REASON_CAPACITY, genspec)
                 _print(json_line(skip.to_json_dict()), out)
                 status = max(status, EXIT_CAPACITY)
                 continue
@@ -405,9 +404,6 @@ def cmd_audit_facts(args) -> int:
                 sound += 1 if row["sound"] else 0
         summary = {"kind": KIND_SUMMARY, "total": total, "sound": sound}
         _print(json_line(summary), sys.stdout)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return status
 
 
@@ -416,13 +412,9 @@ def cmd_audit_facts(args) -> int:
 
 def cmd_gen(args) -> int:
     specs = expand_gen_args(args.spec, args.seeds)
-    out = _open_out(args)
-    try:
+    with _open_out(args) as out:
         for spec in specs:
             _print(encode_graph6(spec.build()), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -458,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSONL output path (default stdout)")
     p.add_argument("--save-counterexamples", metavar="DIR",
                    help="directory for replayable disagreement files")
-    p.add_argument("--jobs", type=int, default=1, help="parallel per-graph jobs")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; rows stay in input order")
     p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded, zeroed timings, byte-stable output")
+                   help="zeroed timings, byte-stable output")
     p.add_argument("--max-n", type=int, help="override the oracle size guard")
     p.set_defaults(func=cmd_compare)
 
@@ -485,18 +477,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

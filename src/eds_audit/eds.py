@@ -18,15 +18,6 @@ def _check_members(g: Graph, s: VertexSet) -> None:
             raise ValueError(f"set member {v} out of range for n={g.n}")
 
 
-def is_dominating(g: Graph, s: VertexSet) -> bool:
-    """True iff every vertex is in s or adjacent to a member of s."""
-    _check_members(g, s)
-    covered: set[int] = set()
-    for x in s:
-        covered |= g.closed_adj[x]
-    return len(covered) == g.n
-
-
 def _partition_check(g: Graph, s: VertexSet) -> bool:
     # closed neighborhoods of s pairwise disjoint and covering V
     covered: set[int] = set()
@@ -83,9 +74,3 @@ class EdsCertificate:
 
     members: frozenset[int]
     graph_n: int
-
-    @classmethod
-    def checked(cls, g: Graph, s: VertexSet) -> "EdsCertificate":
-        if not verify_eds(g, s):
-            raise ValueError("set is not an efficient dominating set")
-        return cls(frozenset(s), g.n)

@@ -66,10 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
     @cached_property
     def closed_adj(self) -> tuple[frozenset[int], ...]:
         """Per-vertex closed neighborhoods N[v]."""
@@ -104,24 +100,6 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")
-
-
-def neighbors(g: Graph, v: int) -> VertexSet:
-    """Open neighborhood: all vertices adjacent to v."""
-    g._check_vertex(v)
-    return g.adj[v]
-
-
-def closed_neighbors(g: Graph, v: int) -> VertexSet:
-    """Closed neighborhood: v together with its neighbors."""
-    g._check_vertex(v)
-    return g.closed_adj[v]
-
-
-def second_neighborhood(g: Graph, v: int) -> VertexSet:
-    """Vertices at graph distance exactly 2 from v (not distance <= 2)."""
-    g._check_vertex(v)
-    return frozenset(g.second_lists[v])
 
 
 def is_regular(g: Graph) -> int | None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CapacityError
 from .graph import Graph, is_regular
@@ -50,6 +51,25 @@ def _sorted_solutions(found: list[frozenset[int]]) -> tuple[frozenset[int], ...]
     return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
 
 
+def _branch_candidates(uncovered: int, masks: list[int],
+                       closed_sorted: list[list[int]]) -> list[int] | None:
+    """Covers of the uncovered vertex with the fewest of them (ties to the
+    smallest id); None if some uncovered vertex has no cover left."""
+    best: list[int] | None = None
+    m = uncovered
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        cands = [x for x in closed_sorted[u] if (masks[x] & ~uncovered) == 0]
+        if not cands:
+            return None
+        if best is None or len(cands) < len(best):
+            best = cands
+            if len(best) == 1:
+                break
+    return best
+
+
 def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None,
                 use_size_bound: bool = True) -> OracleReport:
     """Exact-cover backtracking over closed neighborhoods.
@@ -75,37 +95,29 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
     masks = _closed_masks(g)
     closed_sorted = [sorted(g.closed_adj[v]) for v in range(g.n)]
     found: list[frozenset[int]] = []
+    # one frame per open search node: its uncovered mask and an iterator over
+    # its branch candidates; chosen[i] is the branch frame i currently takes
+    stack: list[tuple[int, Iterator[int]]] = []
     chosen: list[int] = []
     nodes = 0
-
-    def recurse(uncovered: int) -> bool:
-        nonlocal nodes
+    uncovered = (1 << g.n) - 1
+    while True:
         nodes += 1
         if not uncovered:
             found.append(frozenset(chosen))
-            return not enumerate_all
-        best: list[int] | None = None
-        m = uncovered
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cands = [x for x in closed_sorted[u] if (masks[x] & ~uncovered) == 0]
-            if not cands:
-                return False
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(best) == 1:
-                    break
-        assert best is not None
-        for x in best:
-            chosen.append(x)
-            stop = recurse(uncovered & ~masks[x])
+            if not enumerate_all:
+                break
+        elif (best := _branch_candidates(uncovered, masks, closed_sorted)) is not None:
+            stack.append((uncovered, iter(best)))
+            chosen.append(-1)
+        while stack and (x := next(stack[-1][1], None)) is None:
+            stack.pop()
             chosen.pop()
-            if stop:
-                return True
-        return False
+        if not stack:
+            break
+        chosen[-1] = x
+        uncovered = stack[-1][0] & ~masks[x]
 
-    recurse((1 << g.n) - 1)
     solutions = _sorted_solutions(found)
     return OracleReport(bool(solutions), solutions, nodes, time.perf_counter() - start)
 

@@ -1,15 +1,14 @@
 """JSONL record schemas, canonical JSON output, and counterexample files.
 
 Every row the harness emits is one canonical JSON line carrying a "kind"
-field, so concurrent writers can append in completion order and consumers can
-parse each line independently.
+field, so consumers can parse each line independently.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .oracle import OracleReport
@@ -53,22 +52,9 @@ class CompareRecord:
     genspec: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": KIND_RECORD,
-            "graph6": self.graph6,
-            "n": self.n,
-            "r": self.r,
-            "decide_verdict": self.decide_verdict,
-            "decide_reason": self.decide_reason,
-            "oracle_has_eds": self.oracle_has_eds,
-            "agree": self.agree,
-            "certificate_valid": self.certificate_valid,
-            "claim_audit_flags": list(self.claim_audit_flags),
-            "work_counter": self.work_counter,
-            "elapsed_decide": self.elapsed_decide,
-            "elapsed_oracle": self.elapsed_oracle,
-            "genspec": self.genspec,
-        }
+        doc = _row_dict(KIND_RECORD, self)
+        doc["claim_audit_flags"] = list(self.claim_audit_flags)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -81,21 +67,16 @@ class SkipRecord:
     genspec: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": KIND_SKIP,
-            "graph6": self.graph6,
-            "n": self.n,
-            "reason": self.reason,
-            "genspec": self.genspec,
-        }
+        return _row_dict(KIND_SKIP, self)
 
 
-_RECORD_FIELDS = {
-    "kind", "graph6", "n", "r", "decide_verdict", "decide_reason",
-    "oracle_has_eds", "agree", "certificate_valid", "claim_audit_flags",
-    "work_counter", "elapsed_decide", "elapsed_oracle", "genspec",
-}
-_SKIP_FIELDS = {"kind", "graph6", "n", "reason", "genspec"}
+def _row_dict(kind: str, record) -> dict:
+    doc = {f.name: getattr(record, f.name) for f in fields(record)}
+    doc["kind"] = kind
+    return doc
+
+
+_ROW_TYPES = {KIND_RECORD: CompareRecord, KIND_SKIP: SkipRecord}
 
 
 def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
@@ -108,22 +89,15 @@ def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("row is not an object with a 'kind' field")
     kind = doc["kind"]
-    if kind == KIND_RECORD:
-        if set(doc) != _RECORD_FIELDS:
-            raise ValueError(f"compare row has wrong fields: {sorted(doc)}")
-        return CompareRecord(
-            graph6=doc["graph6"], n=doc["n"], r=doc["r"],
-            decide_verdict=doc["decide_verdict"], decide_reason=doc["decide_reason"],
-            oracle_has_eds=doc["oracle_has_eds"], agree=doc["agree"],
-            certificate_valid=doc["certificate_valid"],
-            claim_audit_flags=tuple(doc["claim_audit_flags"]),
-            work_counter=doc["work_counter"], elapsed_decide=doc["elapsed_decide"],
-            elapsed_oracle=doc["elapsed_oracle"], genspec=doc["genspec"])
-    if kind == KIND_SKIP:
-        if set(doc) != _SKIP_FIELDS:
-            raise ValueError(f"skip row has wrong fields: {sorted(doc)}")
-        return SkipRecord(graph6=doc["graph6"], n=doc["n"], reason=doc["reason"],
-                          genspec=doc["genspec"])
+    cls = _ROW_TYPES.get(kind)
+    if cls is not None:
+        names = [f.name for f in fields(cls)]
+        if set(doc) != {"kind", *names}:
+            raise ValueError(f"{kind} row has wrong fields: {sorted(doc)}")
+        values = {name: doc[name] for name in names}
+        if "claim_audit_flags" in values:
+            values["claim_audit_flags"] = tuple(values["claim_audit_flags"])
+        return cls(**values)
     if kind in (KIND_AUDIT, KIND_SUMMARY):
         return doc
     raise ValueError(f"unknown row kind {kind!r}")

@@ -204,13 +204,22 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: list[int] | None = None
     return ProbeResult(anchor, frozenset(final), tuple(events))
 
 
-def _decide(g: Graph, order: list[int] | None) -> Decision:
-    r = is_regular(g)
-    if r is None:
+def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
+    """Run the decision procedure.
+
+    By default every vertex scan and anchor choice follows ascending id; with
+    ``drop_order_seed`` they follow ``rank_permutation(g.n, drop_order_seed)``
+    instead, which measures order sensitivity.  Raises ValueError unless g is
+    connected and regular.  'found' verdicts carry a verified certificate; a
+    final set failing verification comes back as 'discrepancy', never as a
+    silent 'found'.
+    """
+    if is_regular(g) is None:
         raise ValueError("decision procedure requires a regular graph")
     if not is_connected(g):
         raise ValueError("decision procedure requires a connected graph")
 
+    order = None if drop_order_seed is None else rank_permutation(g.n, drop_order_seed)
     work = _Work()
     trace: list[TraceEvent] = []
     key = None if order is None else order.__getitem__
@@ -255,19 +264,3 @@ def _decide(g: Graph, order: list[int] | None) -> Decision:
                         tuple(trace), work.tests)
     return Decision(VERDICT_DISCREPANCY, None, REASON_NOT_EDS, final,
                     tuple(trace), work.tests)
-
-
-def decide_eds(g: Graph) -> Decision:
-    """Run the decision procedure with the deterministic smallest-id order.
-
-    Raises ValueError unless g is connected and regular.  'found' verdicts
-    carry a verified certificate; a final set failing verification comes back
-    as 'discrepancy', never as a silent 'found'.
-    """
-    return _decide(g, None)
-
-
-def decide_with_order(g: Graph, drop_order_seed: int) -> Decision:
-    """Same procedure, but every vertex scan and anchor choice follows a
-    seeded random order; used to measure order sensitivity."""
-    return _decide(g, rank_permutation(g.n, drop_order_seed))

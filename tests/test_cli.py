@@ -222,15 +222,17 @@ def test_compare_counterexample_flow(capsys, tmp_path, monkeypatch):
 
 
 def test_compare_jobs_parallel(capsys, tmp_path):
-    out_path = tmp_path / "rows.jsonl"
-    argv = ["compare", "--jobs", "2", "--out", str(out_path)]
-    for n in (3, 6, 9, 12):
-        argv += ["--gen", f"cycle:n={n}"]
-    code, out, _ = run(capsys, *argv)
+    # worker processes change timings only: rows come in input order
+    spec = "random-regular:n=12,r=3,seed=1..20"
+    code, out, _ = run(capsys, "compare", "--deterministic", "--gen", spec)
     assert code == 0
-    rows = [parse_record_line(l) for l in out_path.read_text().splitlines()]
-    assert sorted(r.n for r in rows) == [3, 6, 9, 12]
-    assert all(r.agree for r in rows)
+    serial = out_lines(out)[:-1]
+    out_path = tmp_path / "rows.jsonl"
+    code, _, _ = run(capsys, "compare", "--jobs", "2", "--out", str(out_path), "--gen", spec)
+    assert code == 0
+    parallel = [json.loads(l) for l in out_path.read_text().splitlines()]
+    assert len(serial) == 20
+    assert [dict(row, elapsed_decide=0.0, elapsed_oracle=0.0) for row in parallel] == serial
 
 
 def test_compare_deterministic_byte_identical(capsys, tmp_path):
@@ -273,3 +275,62 @@ def test_audit_facts_capacity(capsys):
 def test_input_and_gen_conflict(capsys):
     code, _, err = run(capsys, "compare", "Bw", "--gen", "cycle:n=6")
     assert code == 2 and "either an input or --gen" in err
+
+
+def test_oracle_deep_search_iterative(capsys, tmp_path):
+    # the search goes one level deeper per chosen vertex, 1001 levels here:
+    # far past the interpreter's recursion limit
+    p = tmp_path / "c3003.g6"
+    p.write_text(encode_graph6(cycle(3003)) + "\n")
+    code, out, _ = run(capsys, "oracle", "--max-n", "5000", str(p))
+    assert code == 0
+    doc = out_lines(out)[0]
+    assert doc["has_eds"] is True and doc["nodes_explored"] == 1002
+
+
+def count_parses(monkeypatch):
+    calls = []
+    original = cli.parse_graph6
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "parse_graph6", counted)
+    return calls
+
+
+def test_each_input_decoded_once(capsys, tmp_path, monkeypatch):
+    calls = count_parses(monkeypatch)
+    p = tmp_path / "in.g6"
+    p.write_text("".join(encode_graph6(cycle(n)) + "\n" for n in (6, 9, 12)))
+    code, out, _ = run(capsys, "decide", str(p))
+    assert code == 0 and len(out_lines(out)) == 3
+    assert len(calls) == 3
+    calls.clear()
+    code, _, _ = run(capsys, "compare", "--gen", "cycle:n=6", "--gen", "cycle:n=9")
+    assert code == 0
+    assert calls == []
+
+
+def test_rows_before_malformed_line_are_written(capsys, tmp_path):
+    p = tmp_path / "in.g6"
+    p.write_text(encode_graph6(cycle(6)) + "\n" + encode_graph6(cycle(9)) + "\nB\x01\n")
+    code, out, err = run(capsys, "decide", str(p))
+    assert code == 2
+    assert [d["verdict"] for d in out_lines(out)] == ["found", "found"]
+    assert "line 3:" in err
+
+
+def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
+    # errors in the input source come before the --out file is opened
+    out_path = tmp_path / "rows.jsonl"
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n")
+    for command in ("compare", "audit-facts"):
+        for source in ([str(tmp_path / "missing.g6")], ["Bw", "--gen", "cycle:n=6"],
+                       [str(empty)]):
+            out_path.write_text("kept\n")
+            code, _, err = run(capsys, command, "--out", str(out_path), *source)
+            assert code == 2 and "error" in err
+            assert out_path.read_text() == "kept\n"

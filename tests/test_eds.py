@@ -5,21 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from eds_audit.eds import EdsCertificate, eds_size_bound, is_dominating, verify_eds
+from eds_audit.eds import eds_size_bound, verify_eds
 from eds_audit.graph import Graph
 
 from .conftest import complete, cycle, eds_by_definition, hypercube, path
-
-
-def test_is_dominating_examples(c6, k4):
-    assert is_dominating(c6, frozenset({0, 3}))
-    assert not is_dominating(c6, frozenset({0}))
-    assert is_dominating(k4, frozenset({2}))
-
-
-def test_is_dominating_range_error(c6):
-    with pytest.raises(ValueError, match="out of range"):
-        is_dominating(c6, frozenset({9}))
 
 
 def test_verify_eds_examples(c6, q3):
@@ -69,14 +58,8 @@ def test_characterizations_agree(case):
 def test_verified_sets_dominate(case):
     g, s = case
     if verify_eds(g, s):
-        assert is_dominating(g, s)
-
-
-def test_certificate_checked(c6):
-    cert = EdsCertificate.checked(c6, frozenset({1, 4}))
-    assert cert.members == {1, 4} and cert.graph_n == 6
-    with pytest.raises(ValueError, match="not an efficient dominating set"):
-        EdsCertificate.checked(c6, frozenset({0, 2}))
+        covered = set().union(*(g.closed_adj[x] for x in s))
+        assert covered == set(range(g.n))
 
 
 def test_certificate_size_matches_bound():

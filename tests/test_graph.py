@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from eds_audit.graph import (
-    Graph, closed_neighbors, is_connected, is_regular, neighbors,
-    second_neighborhood,
-)
+from eds_audit.graph import Graph, is_connected, is_regular
 
 from .conftest import bfs_distances, complete, cycle, hypercube, path, petersen, two_triangles
 
@@ -32,41 +29,33 @@ def test_edge_count():
 
 
 def test_neighbors_examples(c6, k4):
-    assert neighbors(c6, 0) == {1, 5}
-    assert neighbors(k4, 2) == {0, 1, 3}
+    assert c6.adj[0] == {1, 5}
+    assert k4.adj[2] == {0, 1, 3}
     single = Graph.from_edges(1, [])
-    assert neighbors(single, 0) == frozenset()
+    assert single.adj[0] == frozenset()
 
 
 def test_closed_neighbors_examples(c6, k4):
-    assert closed_neighbors(c6, 0) == {0, 1, 5}
-    assert closed_neighbors(k4, 2) == {0, 1, 2, 3}
-    assert closed_neighbors(Graph.from_edges(1, []), 0) == {0}
+    assert c6.closed_adj[0] == {0, 1, 5}
+    assert k4.closed_adj[2] == {0, 1, 2, 3}
+    assert Graph.from_edges(1, []).closed_adj[0] == {0}
 
 
 def test_second_neighborhood_examples(c6, k4, pet):
-    assert second_neighborhood(c6, 0) == {2, 4}
-    assert second_neighborhood(k4, 0) == frozenset()
+    assert c6.second_lists[0] == (2, 4)
+    assert k4.second_lists[0] == ()
     # derived from the BFS oracle: all vertices at distance exactly 2
     dist = bfs_distances(pet, 0)
     expected = {v for v in range(10) if dist[v] == 2}
     assert len(expected) == 6
-    assert second_neighborhood(pet, 0) == expected
+    assert set(pet.second_lists[0]) == expected
 
 
 def test_second_neighborhood_matches_bfs_everywhere(pet, q3, c6):
     for g in (pet, q3, c6, path(7), two_triangles()):
         for v in range(g.n):
             dist = bfs_distances(g, v)
-            assert second_neighborhood(g, v) == {u for u in range(g.n) if dist[u] == 2}
-
-
-def test_vertex_range_errors(c6):
-    for op in (neighbors, closed_neighbors, second_neighborhood):
-        with pytest.raises(ValueError, match="out of range"):
-            op(c6, 6)
-        with pytest.raises(ValueError, match="out of range"):
-            op(c6, -1)
+            assert g.second_lists[v] == tuple(u for u in range(g.n) if dist[u] == 2)
 
 
 def test_is_regular():
@@ -99,13 +88,13 @@ def graphs(draw, max_n=12):
 @given(graphs())
 def test_second_neighborhood_disjoint_from_closed(g):
     for v in range(g.n):
-        assert not second_neighborhood(g, v) & closed_neighbors(g, v)
+        assert g.closed_adj[v].isdisjoint(g.second_lists[v])
 
 
 @given(graphs())
 def test_second_neighborhood_has_common_neighbor(g):
     for v in range(g.n):
-        for w in second_neighborhood(g, v):
+        for w in g.second_lists[v]:
             assert g.adj[v] & g.adj[w]
 
 

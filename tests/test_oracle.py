@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from eds_audit.errors import CapacityError
-from eds_audit.generators import gen_random_regular
-from eds_audit.graph import Graph
+from eds_audit.generators import gen_random_regular, parse_genspec
+from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact, solve_naive
 
 from .conftest import all_eds_bruteforce, complete, cycle, hypercube, petersen, two_triangles
@@ -120,3 +120,72 @@ def test_elapsed_and_nodes_reported(c6):
     assert set(doc) == {"has_eds", "solutions", "nodes_explored", "elapsed"}
     assert set(report.to_json_dict(include_elapsed=False)) == {
         "has_eds", "solutions", "nodes_explored"}
+
+
+# Reference recursive search: solve_exact's original form, one Python frame
+# per chosen vertex.  The iterative solve_exact must explore the same nodes in
+# the same order and return the same solutions.
+
+
+def reference_solve_exact(g, enumerate_all=False, *, use_size_bound=True):
+    from eds_audit.oracle import _closed_masks, _sorted_solutions
+    if use_size_bound:
+        r = is_regular(g)
+        if r is not None and g.n % (r + 1):
+            return (), 0
+    masks = _closed_masks(g)
+    closed_sorted = [sorted(g.closed_adj[v]) for v in range(g.n)]
+    found = []
+    chosen = []
+    nodes = 0
+
+    def recurse(uncovered):
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            found.append(frozenset(chosen))
+            return not enumerate_all
+        best = None
+        m = uncovered
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            cands = [x for x in closed_sorted[u] if (masks[x] & ~uncovered) == 0]
+            if not cands:
+                return False
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(best) == 1:
+                    break
+        for x in best:
+            chosen.append(x)
+            stop = recurse(uncovered & ~masks[x])
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
+    recurse((1 << g.n) - 1)
+    return _sorted_solutions(found), nodes
+
+
+def test_iterative_search_matches_recursive_reference():
+    from .test_acceptance import criterion1_corpus
+    corpus = criterion1_corpus() + [cycle(n) for n in range(3, 40)]
+    for g in corpus:
+        for enumerate_all in (False, True):
+            for use_size_bound in (True, False):
+                got = solve_exact(g, enumerate_all, use_size_bound=use_size_bound)
+                expected = reference_solve_exact(g, enumerate_all,
+                                                 use_size_bound=use_size_bound)
+                assert (got.solutions, got.nodes_explored) == expected, g
+    # first-solution searches where the oracle really works: the compare-large
+    # benchmark corpus at seed 1
+    large = [gen_random_regular(n, 3, seed) for n in (96, 112, 128) for seed in range(1, 21)]
+    large += [parse_genspec(spec).build() for spec in (
+        "hypercube:d=7", "cycle:n=120", "cycle:n=126", "circulant:n=120,offsets=1+2",
+        "circulant:n=126,offsets=1+2+3", "generalized-petersen:n=60,k=1",
+        "generalized-petersen:n=64,k=3")]
+    for g in large:
+        got = solve_exact(g)
+        assert (got.solutions, got.nodes_explored) == reference_solve_exact(g), g

@@ -13,7 +13,7 @@ from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
     STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, TraceEvent, decide_eds,
-    decide_with_order, drop_witness, probe, reduce_to_fixpoint, work_budget,
+    drop_witness, probe, reduce_to_fixpoint, work_budget,
 )
 from eds_audit.rng import rank_permutation
 
@@ -227,16 +227,16 @@ class TestSeededOrder:
     def test_c6_all_seeds_find_valid_eds(self, c6):
         valid = {frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})}
         for seed in range(1, 21):
-            d = decide_with_order(c6, seed)
+            d = decide_eds(c6, seed)
             assert d.verdict == VERDICT_FOUND
             assert d.certificate.members in valid
 
     def test_c5_all_seeds_none(self, c5):
         for seed in range(1, 21):
-            assert decide_with_order(c5, seed).verdict == VERDICT_NONE
+            assert decide_eds(c5, seed).verdict == VERDICT_NONE
 
     def test_deterministic_per_seed(self, q3):
-        assert decide_with_order(q3, 9) == decide_with_order(q3, 9)
+        assert decide_eds(q3, 9) == decide_eds(q3, 9)
 
     def test_verdict_profile_recorded(self):
         # logging contract: collect the verdict multiset across seeds; any
@@ -244,7 +244,7 @@ class TestSeededOrder:
         g = gen_random_regular(12, 3, 3)
         profile: dict[str, int] = {}
         for seed in range(1, 51):
-            v = decide_with_order(g, seed).verdict
+            v = decide_eds(g, seed).verdict
             profile[v] = profile.get(v, 0) + 1
         assert sum(profile.values()) == 50
         if len(profile) > 1:
@@ -385,7 +385,7 @@ def test_decide_trace_identity(identity_corpus):
     for g in identity_corpus:
         assert decide_eds(g) == on_reference(decide_eds, g), g
         for seed in range(1, 6):
-            assert decide_with_order(g, seed) == on_reference(decide_with_order, g, seed), \
+            assert decide_eds(g, seed) == on_reference(decide_eds, g, seed), \
                 (g, seed)
 
 
