@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
@@ -41,6 +42,10 @@ ENV_MAX_N = "EDS_AUDIT_MAX_N"
 COMPARE_CONFLUENCE_SEEDS = tuple(range(1, 6))
 AUDIT_CONFLUENCE_SEEDS = tuple(range(1, 21))
 AUDIT_DEFAULT_MAX_N = 20
+# graphs in flight per `compare --jobs` worker: enough that one slow graph at
+# the head of the window rarely idles the other workers, few enough that
+# memory does not grow with the sweep
+COMPARE_WINDOW_PER_JOB = 16
 
 # skip-row reason for a graph above the oracle or audit size guard
 REASON_CAPACITY = "capacity"
@@ -116,7 +121,11 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph]]:
         text = sys.stdin.read()
     else:
         path = Path(args.input)
-        if path.exists():
+        try:
+            is_file = path.exists()
+        except OSError:  # e.g. a literal graph6 string longer than a file name can be
+            is_file = False
+        if is_file:
             text = path.read_text(encoding="utf-8")
         elif args.format == "graph6":
             # a literal graph6 string, or a mistyped file name: decoded now
@@ -316,13 +325,33 @@ def cmd_compare(args) -> int:
 
 
 def _run_compare(inputs, deterministic, cap, jobs):
-    """Compare results in input order, serially or over ``jobs`` processes."""
+    """Compare results in input order, serially or over ``jobs`` processes.
+
+    With processes, at most ``COMPARE_WINDOW_PER_JOB * jobs`` graphs are in
+    flight, so memory does not grow with the sweep, and an input error is
+    raised after the results of the graphs before it, as in a serial run.
+    Rows leave in input order, so a slow graph at the head of the window
+    idles the other workers once the window behind it has finished.
+    """
     one = partial(_compare_one, deterministic=deterministic, cap=cap)
     if jobs == 1:
         yield from map(one, inputs)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(one, inputs)
+        window: deque = deque()
+        items = iter(inputs)
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except (ValueError, CapacityError):
+                yield from (future.result() for future in window)
+                raise
+            window.append(pool.submit(one, item))
+            if len(window) == COMPARE_WINDOW_PER_JOB * jobs:
+                yield window.popleft().result()
+        yield from (future.result() for future in window)
 
 
 # audit-facts

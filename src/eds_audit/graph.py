@@ -6,6 +6,7 @@ plain ``frozenset``/``set`` objects over those ids (the ``VertexSet`` alias).
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,6 @@ GRAPH6_HEADER = ">>graph6<<"
 
 # graph6 payload bytes live in [63, 126]: chr(63 + six-bit group).
 _G6_MIN = 63
-_G6_MAX = 126
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,23 @@ def is_connected(g: Graph) -> bool:
 
 
 # graph6: byte = 63 + 6-bit group; upper adjacency triangle column-major,
-# i.e. bits (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...
+# i.e. bits (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...  Bit k = j(j-1)/2 + i
+# holds the pair i < j and is bit 5 - k % 6 of group k // 6.
+
+_G6_INVALID = re.compile(rb"[^?-~]")  # a byte outside [63, 126]
+_G6_NONZERO = re.compile(rb"[^?]")  # a group with at least one bit set
+# indexed by a payload byte: the offsets 0..5 of its group's set bits
+_G6_SET_BITS = [()] * _G6_MIN + [tuple(b for b in range(6) if q >> (5 - b) & 1)
+                                 for q in range(64)]
+_G6_PLUS_63 = bytes((b + _G6_MIN) & 255 for b in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional '>>graph6<<' header allowed)."""
+    """Decode one graph6 string (optional '>>graph6<<' header allowed).
+
+    Python work is proportional to n plus the number of edges; the byte-range
+    checks and the search for nonzero groups run in the ``re`` engine.
+    """
     stripped = text.strip()
     base = text.index(stripped) if stripped else 0
     if stripped.startswith(GRAPH6_HEADER):
@@ -146,49 +158,48 @@ def parse_graph6(text: str) -> Graph:
     if not data:
         raise ParseError("empty graph6 input", offset=base)
 
-    def group(i: int) -> int:
-        if i >= len(data):
-            raise ParseError("truncated graph6 input", offset=base + len(data))
-        b = data[i]
-        if not _G6_MIN <= b <= _G6_MAX:
-            raise ParseError(f"invalid graph6 byte {b}", offset=base + i)
-        return b - _G6_MIN
-
-    pos = 0
-    if data[0] == 126:  # long-form vertex count
-        if len(data) > 1 and data[1] == 126:
-            parts = [group(i) for i in range(2, 8)]
-            pos = 8
-        else:
-            parts = [group(i) for i in range(1, 4)]
-            pos = 4
-        n = 0
-        for p in parts:
-            n = (n << 6) | p
+    if data[0] != 126:
+        start, pos, n = 0, 1, data[0] - _G6_MIN
     else:
-        n = group(0)
-        pos = 1
-
+        start, pos = (2, 8) if data[1:2] == b"~" else (1, 4)  # long-form vertex count
+        n = 0
+        for c in data[start:pos]:
+            n = n << 6 | c - _G6_MIN
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    groups = [group(pos + i) for i in range(nbytes)]
-    if len(data) > pos + nbytes:
-        raise ParseError("trailing garbage after graph6 payload", offset=base + pos + nbytes)
+    end = pos + nbytes
+    # n is garbage if the header is bad or cut short, but every header byte
+    # lies before end, so one scan up to end reports the same first fault as
+    # a byte-by-byte read: an invalid byte, else truncation.
+    bad = _G6_INVALID.search(data, start)
+    if bad and bad.start() < end:
+        raise ParseError(f"invalid graph6 byte {data[bad.start()]}", offset=base + bad.start())
+    if len(data) < end:
+        raise ParseError("truncated graph6 input", offset=base + len(data))
+    if len(data) > end:
+        raise ParseError("trailing garbage after graph6 payload", offset=base + end)
+    if nbytes and data[end - 1] - _G6_MIN & ((1 << (6 * nbytes - nbits)) - 1):
+        raise ParseError("nonzero padding bits in graph6 payload", offset=base + end - 1)
 
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            if groups[bit // 6] >> (5 - bit % 6) & 1:
-                edges.append((i, j))
-            bit += 1
-    if nbytes and groups[-1] & ((1 << (6 * nbytes - nbits)) - 1):
-        raise ParseError("nonzero padding bits in graph6 payload", offset=base + pos + nbytes - 1)
+    j, col = 1, 0  # column j holds bits col .. col + j - 1
+    for m in _G6_NONZERO.finditer(data, pos, end):
+        at = m.start()
+        first = 6 * (at - pos)
+        for b in _G6_SET_BITS[data[at]]:
+            k = first + b
+            while k >= col + j:
+                col += j
+                j += 1
+            edges.append((k - col, j))
     return Graph.from_edges(n, edges)
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode to the canonical-length graph6 string (no header)."""
+    """Encode to the canonical-length graph6 string (no header).
+
+    Python work is proportional to n plus the number of edges.
+    """
     n = g.n
     if n <= 62:
         head = [n + _G6_MIN]
@@ -198,21 +209,14 @@ def encode_graph6(g: Graph) -> str:
         head = [126, 126] + [_G6_MIN + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise ValueError("graph too large for graph6")
-    groups = []
-    acc = 0
-    nbits = 0
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for j in range(1, n):
-        row = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (1 if i in row else 0)
-            nbits += 1
-            if nbits == 6:
-                groups.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        groups.append(acc << (6 - nbits))
-    return bytes(head + [q + _G6_MIN for q in groups]).decode("ascii")
+        col = j * (j - 1) // 2
+        for i in g.adj[j]:
+            if i < j:
+                k = col + i
+                groups[k // 6] |= 32 >> k % 6
+    return (bytes(head) + groups.translate(_G6_PLUS_63)).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

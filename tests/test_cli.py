@@ -235,6 +235,36 @@ def test_compare_jobs_parallel(capsys, tmp_path):
     assert [dict(row, elapsed_decide=0.0, elapsed_oracle=0.0) for row in parallel] == serial
 
 
+def test_compare_jobs_window_is_bounded():
+    window = 2 * cli.COMPARE_WINDOW_PER_JOB
+    sizes = [6 + i % 7 for i in range(3 * window)]
+    pulled = []
+
+    def inputs():
+        for n in sizes:
+            pulled.append(n)
+            g = cycle(n)
+            yield encode_graph6(g), None, g
+
+    results = cli._run_compare(inputs(), True, None, 2)
+    first = next(results)
+    assert len(pulled) <= window
+    rows = [first["row"]] + [r["row"] for r in results]
+    assert [row["n"] for row in rows] == pulled == sizes
+
+
+def test_compare_jobs_rows_before_malformed_line(capsys, tmp_path):
+    p = tmp_path / "in.g6"
+    p.write_text(encode_graph6(cycle(6)) + "\n" + encode_graph6(cycle(9)) + "\nB\x01\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "compare", "--deterministic", "--jobs", jobs, str(p))
+        assert code == 2 and "line 3:" in err
+        outputs.append(out)
+    assert [row["n"] for row in out_lines(outputs[1])] == [6, 9]
+    assert outputs[1] == outputs[0]
+
+
 def test_compare_deterministic_byte_identical(capsys, tmp_path):
     paths = []
     for i in range(2):
@@ -275,6 +305,16 @@ def test_audit_facts_capacity(capsys):
 def test_input_and_gen_conflict(capsys):
     code, _, err = run(capsys, "compare", "Bw", "--gen", "cycle:n=6")
     assert code == 2 and "either an input or --gen" in err
+
+
+def test_long_literal_graph6(capsys):
+    # longer than a file name can be, so the existence test raises OSError
+    for n in (57, 600):
+        text = encode_graph6(cycle(n))
+        for argv in (["decide", text], ["oracle", "--max-n", "600", text]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert [doc["graph6"] for doc in out_lines(out)] == [text]
 
 
 def test_oracle_deep_search_iterative(capsys, tmp_path):
