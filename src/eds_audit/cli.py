@@ -383,7 +383,7 @@ def _audit_one(graph6: str, genspec: str | None, g: Graph, cap: int) -> dict:
     converse_violations = []
     for anchor in sorted(baseline):
         result = probe(g, baseline, anchor)
-        in_some_solution = any(anchor in sol for sol in solutions)
+        in_some_solution = anchor in union
         if not result.survivors:
             if in_some_solution:
                 probe_violations.append({"anchor": anchor})

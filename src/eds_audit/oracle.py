@@ -51,23 +51,16 @@ def _sorted_solutions(found: list[frozenset[int]]) -> tuple[frozenset[int], ...]
     return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
 
 
-def _branch_candidates(uncovered: int, masks: list[int],
-                       closed_sorted: list[list[int]]) -> list[int] | None:
-    """Covers of the uncovered vertex with the fewest of them (ties to the
-    smallest id); None if some uncovered vertex has no cover left."""
-    best: list[int] | None = None
-    m = uncovered
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        cands = [x for x in closed_sorted[u] if (masks[x] & ~uncovered) == 0]
-        if not cands:
-            return None
-        if best is None or len(cands) < len(best):
-            best = cands
-            if len(best) == 1:
-                break
-    return best
+def _conflict_masks(g: Graph, masks: list[int]) -> list[int]:
+    """conflict[x] = union of masks[u] over u in N[x]: exactly the vertices y
+    whose closed neighborhood meets N[x], in any simple graph."""
+    conflict = []
+    for x in range(g.n):
+        c = 0
+        for u in g.closed_adj[x]:
+            c |= masks[u]
+        conflict.append(c)
+    return conflict
 
 
 def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None,
@@ -93,30 +86,52 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
             return OracleReport(False, (), 0, time.perf_counter() - start)
 
     masks = _closed_masks(g)
-    closed_sorted = [sorted(g.closed_adj[v]) for v in range(g.n)]
+    conflict = _conflict_masks(g, masks)
     found: list[frozenset[int]] = []
-    # one frame per open search node: its uncovered mask and an iterator over
-    # its branch candidates; chosen[i] is the branch frame i currently takes
-    stack: list[tuple[int, Iterator[int]]] = []
+    # one frame per open search node: its uncovered mask, its avail mask (the
+    # vertices whose closed neighborhood still lies inside the uncovered set)
+    # and an iterator over its branch candidates; chosen[i] is the branch
+    # frame i currently takes
+    stack: list[tuple[int, int, Iterator[int]]] = []
     chosen: list[int] = []
     nodes = 0
-    uncovered = (1 << g.n) - 1
+    uncovered = avail = (1 << g.n) - 1
     while True:
         nodes += 1
         if not uncovered:
             found.append(frozenset(chosen))
             if not enumerate_all:
                 break
-        elif (best := _branch_candidates(uncovered, masks, closed_sorted)) is not None:
-            stack.append((uncovered, iter(best)))
-            chosen.append(-1)
-        while stack and (x := next(stack[-1][1], None)) is None:
+        else:
+            # the covers of the uncovered vertex with the fewest of them (ties
+            # to the smallest id); none if some uncovered vertex has no cover
+            best = 0
+            fewest = g.n + 1
+            m = uncovered
+            while m:
+                low = m & -m
+                m ^= low
+                covers = masks[low.bit_length() - 1] & avail
+                if not covers:
+                    best = 0
+                    break
+                count = covers.bit_count()
+                if count < fewest:
+                    best, fewest = covers, count
+                    if count == 1:
+                        break
+            if best:
+                stack.append((uncovered, avail, iter(_bits_to_ids(best))))
+                chosen.append(-1)
+        while stack and (x := next(stack[-1][2], None)) is None:
             stack.pop()
             chosen.pop()
         if not stack:
             break
         chosen[-1] = x
-        uncovered = stack[-1][0] & ~masks[x]
+        uncovered, avail, _ = stack[-1]
+        uncovered &= ~masks[x]
+        avail &= ~conflict[x]
 
     solutions = _sorted_solutions(found)
     return OracleReport(bool(solutions), solutions, nodes, time.perf_counter() - start)

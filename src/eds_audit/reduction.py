@@ -26,6 +26,7 @@ disagreement or as an explicit Discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .eds import EdsCertificate, verify_eds
 from .graph import Graph, VertexSet, is_connected, is_regular
@@ -137,7 +138,7 @@ def drop_witness(g: Graph, candidates: VertexSet, v: int) -> int | None:
     return None
 
 
-def _reduce(g: Graph, current: set[int], order: list[int] | None, stage: str,
+def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str,
             work: _Work | None, events: list[TraceEvent]) -> set[int]:
     """Drop filter to fixpoint, rescanning from the front after each drop.
 
@@ -166,7 +167,7 @@ def _reduce(g: Graph, current: set[int], order: list[int] | None, stage: str,
     return current
 
 
-def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: list[int] | None = None,
+def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None,
                        stage: str = STAGE_INITIAL,
                        ) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
     """Apply the drop filter until no vertex of ``a`` qualifies.
@@ -181,7 +182,7 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: list[int] | None = None
     return frozenset(final), tuple(events)
 
 
-def probe(g: Graph, a: VertexSet, anchor: int, *, order: list[int] | None = None,
+def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = None,
           stage: str = STAGE_PROBE, work: _Work | None = None) -> ProbeResult:
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
     reduce to a fixpoint.

@@ -12,6 +12,8 @@ bit-reproducible across platforms and implementations:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -46,15 +48,18 @@ class SplitMix64:
         self.state = state
 
 
-def rank_permutation(n: int, seed: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def rank_permutation(n: int, seed: int) -> tuple[int, ...]:
     """rank[v] = position of vertex v in a seeded shuffle of 0..n-1.
 
     Ordering vertices by rank yields the seeded scan order used by the
-    order-sensitivity audits.
+    order-sensitivity audits.  A sweep asks for the same few (n, seed) pairs
+    once per graph, so results are cached; a tuple, so no caller can change
+    a cached order.
     """
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos
-    return rank
+    return tuple(rank)

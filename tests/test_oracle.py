@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from eds_audit.errors import CapacityError
 from eds_audit.generators import gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact, solve_naive
 
-from .conftest import all_eds_bruteforce, complete, cycle, hypercube, petersen, two_triangles
+from .conftest import (PETERSEN_EDGES, all_eds_bruteforce, complete, cycle, hypercube, path,
+                       petersen, two_triangles)
+from .test_graph import graphs
 
 
 def test_cycle_law_small():
@@ -169,16 +172,33 @@ def reference_solve_exact(g, enumerate_all=False, *, use_size_bound=True):
     return _sorted_solutions(found), nodes
 
 
+def star(k: int) -> Graph:
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def irregular_corpus() -> list[Graph]:
+    """Non-regular and disconnected graphs the ``oracle`` subcommand accepts."""
+    return ([path(n) for n in range(1, 12)] + [star(k) for k in range(1, 8)]
+            + [Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]),   # K_{1,3} + K_1
+               Graph.from_edges(10, PETERSEN_EDGES[1:]),          # Petersen - edge
+               Graph.from_edges(3, []),
+               Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])])
+
+
+def assert_matches_reference(g: Graph) -> None:
+    for enumerate_all in (False, True):
+        for use_size_bound in (True, False):
+            got = solve_exact(g, enumerate_all, use_size_bound=use_size_bound)
+            expected = reference_solve_exact(g, enumerate_all,
+                                             use_size_bound=use_size_bound)
+            assert (got.solutions, got.nodes_explored) == expected, g
+
+
 def test_iterative_search_matches_recursive_reference():
     from .test_acceptance import criterion1_corpus
-    corpus = criterion1_corpus() + [cycle(n) for n in range(3, 40)]
+    corpus = criterion1_corpus() + [cycle(n) for n in range(3, 40)] + irregular_corpus()
     for g in corpus:
-        for enumerate_all in (False, True):
-            for use_size_bound in (True, False):
-                got = solve_exact(g, enumerate_all, use_size_bound=use_size_bound)
-                expected = reference_solve_exact(g, enumerate_all,
-                                                 use_size_bound=use_size_bound)
-                assert (got.solutions, got.nodes_explored) == expected, g
+        assert_matches_reference(g)
     # first-solution searches where the oracle really works: the compare-large
     # benchmark corpus at seed 1
     large = [gen_random_regular(n, 3, seed) for n in (96, 112, 128) for seed in range(1, 21)]
@@ -189,3 +209,11 @@ def test_iterative_search_matches_recursive_reference():
     for g in large:
         got = solve_exact(g)
         assert (got.solutions, got.nodes_explored) == reference_solve_exact(g), g
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference_and_naive_on_any_simple_graph(g):
+    # the conflict masks must be right beyond connected regular graphs
+    assert_matches_reference(g)
+    assert solve_exact(g, enumerate_all=True).solutions == solve_naive(g).solutions
