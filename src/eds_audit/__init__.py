@@ -1,6 +1,6 @@
 """Efficient-dominating-set decision procedure, exact oracle, and audit harness."""
 
-from .eds import EdsCertificate, eds_size_bound, verify_eds
+from .eds import EdsCertificate, verify_eds
 from .errors import CapacityError, ParseError
 from .generators import (
     GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
@@ -21,10 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "Decision", "EdsCertificate", "GenSpec", "Graph",
     "OracleReport", "ParseError", "ProbeResult", "TraceEvent", "VertexSet",
-    "decide_eds", "drop_witness", "eds_size_bound", "encode_graph6",
-    "gen_circulant", "gen_complete", "gen_cycle", "gen_hypercube",
-    "gen_petersen", "gen_random_regular", "is_connected", "is_regular",
-    "parse_edge_list", "parse_genspec", "parse_graph6", "probe",
-    "reduce_to_fixpoint", "solve_exact", "solve_naive", "verify_eds",
-    "work_budget",
+    "decide_eds", "drop_witness", "encode_graph6", "gen_circulant",
+    "gen_complete", "gen_cycle", "gen_hypercube", "gen_petersen",
+    "gen_random_regular", "is_connected", "is_regular", "parse_edge_list",
+    "parse_genspec", "parse_graph6", "probe", "reduce_to_fixpoint",
+    "solve_exact", "solve_naive", "verify_eds", "work_budget",
 ]

@@ -23,7 +23,7 @@ from .generators import GenSpec, parse_genspec
 from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_list, parse_graph6
 from .oracle import solve_exact
 from .records import (
-    FLAG_CONFLUENCE, FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, FLAG_WORK_BUDGET,
+    FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, FLAG_WORK_BUDGET,
     KIND_AUDIT, KIND_SUMMARY, CompareRecord, SkipRecord, compute_agree,
     decide_report_doc, json_line, oracle_report_doc, save_counterexample,
 )
@@ -31,7 +31,6 @@ from .reduction import (
     REASON_EXHAUSTED, VERDICT_DISCREPANCY,
     decide_eds, drop_witness, probe, reduce_to_fixpoint, work_budget,
 )
-from .rng import rank_permutation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,8 +38,6 @@ EXIT_CAPACITY = 3
 
 ENV_MAX_N = "EDS_AUDIT_MAX_N"
 
-COMPARE_CONFLUENCE_SEEDS = tuple(range(1, 6))
-AUDIT_CONFLUENCE_SEEDS = tuple(range(1, 21))
 AUDIT_DEFAULT_MAX_N = 20
 # graphs in flight per `compare --jobs` worker: enough that one slow graph at
 # the head of the window rarely idles the other workers, few enough that
@@ -92,14 +89,16 @@ def expand_gen_args(gen_args: list[str], seeds: str | None) -> list[GenSpec]:
 
 
 def _parse_seed_range(text: str) -> range:
+    """Seeds A..B inclusive, or a single seed; B < A is an error, not empty."""
     lo, dots, hi = text.partition("..")
     try:
-        if dots:
-            return range(int(lo), int(hi) + 1)
-        value = int(text)
-        return range(value, value + 1)
+        first = int(lo)
+        last = int(hi) if dots else first
     except ValueError:
         raise ParseError(f"bad seed range {text!r}") from None
+    if last < first:
+        raise ParseError(f"bad seed range {text!r}: end is below start")
+    return range(first, last + 1)
 
 
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph]]:
@@ -216,17 +215,6 @@ def cmd_oracle(args) -> int:
 # compare
 
 
-def _confluence_violations(g: Graph, baseline: frozenset[int],
-                           seeds) -> Iterator[tuple[int, frozenset[int]]]:
-    """Yield (seed, fixpoint) for each seeded scan order whose drop-filter
-    fixpoint differs from ``baseline``, the ascending-order fixpoint."""
-    everything = frozenset(range(g.n))
-    for seed in seeds:
-        seeded, _ = reduce_to_fixpoint(g, everything, order=rank_permutation(g.n, seed))
-        if seeded != baseline:
-            yield seed, seeded
-
-
 def _compare_one(item: tuple[str, str | None, Graph], deterministic: bool,
                  cap: int | None) -> dict:
     """One compare row for a collect_inputs item; returns row + optional
@@ -252,9 +240,6 @@ def _compare_one(item: tuple[str, str | None, Graph], deterministic: bool,
         flags.append(FLAG_EXHAUSTED)
         if oracle.has_eds:
             flags.append(FLAG_PROBE_CONVERSE)
-    baseline, _ = reduce_to_fixpoint(g, frozenset(range(g.n)))
-    if next(_confluence_violations(g, baseline, COMPARE_CONFLUENCE_SEEDS), None) is not None:
-        flags.append(FLAG_CONFLUENCE)
     if decision.work_counter > work_budget(g.n):
         flags.append(FLAG_WORK_BUDGET)
 
@@ -391,10 +376,6 @@ def _audit_one(graph6: str, genspec: str | None, g: Graph, cap: int) -> dict:
             converse_violations.append({"anchor": anchor,
                                         "survivors": sorted(result.survivors)})
 
-    confluence_violations = [
-        {"seed": seed, "fixpoint": sorted(seeded)}
-        for seed, seeded in _confluence_violations(g, baseline, AUDIT_CONFLUENCE_SEEDS)]
-
     degree = is_regular(g)
     return {
         "kind": KIND_AUDIT,
@@ -406,7 +387,8 @@ def _audit_one(graph6: str, genspec: str | None, g: Graph, cap: int) -> dict:
         "filter_soundness_violations": filter_violations,
         "probe_soundness_violations": probe_violations,
         "probe_converse_violations": converse_violations,
-        "confluence_violations": confluence_violations,
+        # always []: fixpoints are order-independent (reduce_to_fixpoint); pinned schema
+        "confluence_violations": [],
         "sound": not filter_violations and not probe_violations,
         "genspec": genspec,
     }

@@ -1,4 +1,4 @@
-"""Efficient dominating sets: verification and structural necessary conditions.
+"""Efficient dominating sets: verification and certificates.
 
 An efficient dominating set (perfect code) is an independent set such that
 every vertex outside it has exactly one neighbor inside; equivalently the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, is_regular
+from .graph import Graph, VertexSet
 
 
 def _check_members(g: Graph, s: VertexSet) -> None:
@@ -55,17 +55,6 @@ def verify_eds(g: Graph, s: VertexSet, *, check_both: bool | None = None) -> boo
     if check_both and _definition_check(g, s) != result:
         raise AssertionError("EDS characterizations disagree; graph invariants violated")
     return result
-
-
-def eds_size_bound(g: Graph) -> int | None:
-    """Forced EDS size n/(r+1) for an r-regular graph; None if (r+1) does not
-    divide n, which proves no EDS exists."""
-    r = is_regular(g)
-    if r is None:
-        raise ValueError("size bound requires a regular graph")
-    if g.n % (r + 1):
-        return None
-    return g.n // (r + 1)
 
 
 @dataclass(frozen=True)

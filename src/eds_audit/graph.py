@@ -63,10 +63,6 @@ class Graph:
         return cls(n, tuple(frozenset(s) for s in nbrs))
 
     @cached_property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
-
-    @cached_property
     def closed_adj(self) -> tuple[frozenset[int], ...]:
         """Per-vertex closed neighborhoods N[v]."""
         return tuple(self.adj[v] | {v} for v in range(self.n))

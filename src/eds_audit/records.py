@@ -18,7 +18,6 @@ from .reduction import (
 )
 
 FLAG_PROBE_CONVERSE = "probe-converse-violation"
-FLAG_CONFLUENCE = "confluence-violation"
 FLAG_EXHAUSTED = "candidates-exhausted"
 FLAG_WORK_BUDGET = "work-budget-exceeded"
 

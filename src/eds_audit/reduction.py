@@ -173,7 +173,18 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
     """Apply the drop filter until no vertex of ``a`` qualifies.
 
     Returns the fixed point and the ordered drop log.  ``order`` ranks
-    vertices for the scan (default: ascending id).
+    vertices for the scan (default: ascending id); it changes the drop log,
+    never the fixed point.
+
+    Proof.  Droppability is monotone: v is droppable in A when some row
+    N(c) - N(v) of v is disjoint from A, and a row disjoint from A is
+    disjoint from every B with v in B and B a subset of A.  Let v1..vk be the
+    drops of one scan, ending at F1, and let F2 be any fixed point reached
+    from ``a`` by another scan.  By induction on i, v1..vi-1 are not in F2,
+    so F2 is a subset of a - {v1..vi-1}, in which vi is droppable; if vi were
+    in F2 it would be droppable in F2, which is a fixed point, so vi is not
+    in F2 either.  Hence F2 is a subset of F1 = a - {v1..vk}, and by symmetry
+    F1 = F2.
     """
     for v in a:
         g._check_vertex(v)

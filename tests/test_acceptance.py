@@ -13,7 +13,7 @@ import time
 import pytest
 
 import eds_audit.cli as cli
-from eds_audit.eds import eds_size_bound, verify_eds
+from eds_audit.eds import verify_eds
 from eds_audit.generators import (
     gen_complete, gen_cycle, gen_hypercube, gen_petersen, gen_random_regular,
 )
@@ -129,7 +129,7 @@ def _syndrome(x: int) -> int:
 def test_criterion_4_structured_negative():
     t0 = time.perf_counter()
     pet = gen_petersen(5, 2)
-    assert eds_size_bound(pet) is None
+    assert pet.n % (len(pet.adj[0]) + 1) != 0  # no EDS size n/(r+1)
     assert not solve_exact(pet).has_eds
     assert decide_eds(pet).verdict == VERDICT_NONE
     elapsed = time.perf_counter() - t0

@@ -124,6 +124,19 @@ def test_gen_seeds_flag(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 3
 
 
+def test_gen_reversed_seed_range_is_an_error(capsys):
+    # B < A is a typo, not an empty sweep: exit 2 and print nothing
+    code, out, err = run(capsys, "gen", "random-regular:n=8,r=3", "--seeds", "4..2")
+    assert code == 2 and out == "" and "bad seed range" in err
+    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3", "--seeds", "4..4")
+    assert code == 0 and len(out.strip().splitlines()) == 1
+
+
+def test_compare_reversed_seed_range_is_an_error(capsys):
+    code, out, err = run(capsys, "compare", "--gen", "random-regular:n=10,r=3,seed=5..3")
+    assert code == 2 and out == "" and "bad seed range" in err
+
+
 def test_gen_bad_spec(capsys):
     code, _, err = run(capsys, "gen", "banana:n=2")
     assert code == 2 and "unknown graph family" in err

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from eds_audit.eds import eds_size_bound, verify_eds
+from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph
 
 from .conftest import complete, cycle, eds_by_definition, hypercube, path
@@ -28,14 +28,6 @@ def test_verify_eds_empty_set_iff_empty_graph():
 def test_verify_eds_range_error(c6):
     with pytest.raises(ValueError, match="out of range"):
         verify_eds(c6, frozenset({6}))
-
-
-def test_eds_size_bound_examples(pet, q3, c6):
-    assert eds_size_bound(pet) is None  # 10/4 is not an integer
-    assert eds_size_bound(q3) == 2
-    assert eds_size_bound(c6) == 2
-    with pytest.raises(ValueError, match="regular"):
-        eds_size_bound(path(3))
 
 
 @st.composite
@@ -66,7 +58,7 @@ def test_certificate_size_matches_bound():
     # every EDS of a regular graph has exactly n/(r+1) members
     from eds_audit.oracle import solve_naive
     for g in (cycle(6), cycle(9), complete(5), hypercube(3), hypercube(1)):
-        bound = eds_size_bound(g)
+        bound = g.n // (len(g.adj[0]) + 1)
         report = solve_naive(g)
         assert report.has_eds
         for s in report.solutions:

@@ -21,13 +21,6 @@ def test_construction_validates():
         Graph(2, (frozenset({1}), frozenset()))
 
 
-def test_edge_count():
-    assert cycle(6).edge_count == 6
-    assert complete(4).edge_count == 6
-    assert hypercube(3).edge_count == 12
-    assert Graph.from_edges(3, []).edge_count == 0
-
-
 def test_neighbors_examples(c6, k4):
     assert c6.adj[0] == {1, 5}
     assert k4.adj[2] == {0, 1, 3}

@@ -119,7 +119,7 @@ def nx_decode(text: str) -> Graph:
 
 def test_single_vertex():
     g = parse_graph6("@")
-    assert g.n == 1 and g.edge_count == 0
+    assert g.n == 1 and sum(map(len, g.adj)) // 2 == 0
     assert encode_graph6(g) == "@"
 
 
@@ -231,7 +231,7 @@ def test_edge_list_parses():
     g = parse_edge_list("3\n0 1\n1 2\n0 2\n")
     assert g == complete(3)
     g = parse_edge_list("4\n\n0 1\n\n2 3\n")
-    assert g.edge_count == 2
+    assert sum(map(len, g.adj)) // 2 == 2
 
 
 def test_edge_list_errors():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eds_audit import reduction
 from eds_audit.generators import gen_random_regular, parse_genspec
@@ -19,6 +20,7 @@ from eds_audit.rng import rank_permutation
 
 from .conftest import all_eds_bruteforce, complete, cycle, hypercube, path, petersen, two_triangles
 from .test_acceptance import criterion1_corpus
+from .test_eds import graph_and_set
 
 
 def everything(g: Graph) -> frozenset[int]:
@@ -106,6 +108,29 @@ class TestReduceToFixpoint:
             assert final <= sub
 
 
+@given(graph_and_set(max_n=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_droppability_is_monotone(case, data):
+    # a vertex droppable in A stays droppable in every B within A that holds it
+    g, a = case
+    b = data.draw(st.sets(st.sampled_from(sorted(a))) if a else st.just(set()))
+    for v in sorted(b):
+        if drop_witness(g, a, v) is not None:
+            assert drop_witness(g, frozenset(b), v) is not None, (g, a, b, v)
+
+
+@given(graph_and_set(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_fixpoint_is_order_independent(case):
+    # the theorem in reduce_to_fixpoint's docstring, on arbitrary simple graphs
+    # (irregular or disconnected) and arbitrary candidate sets
+    g, a = case
+    expected, _ = reduce_to_fixpoint(g, a)
+    for seed in range(1, 6):
+        seeded, _ = reduce_to_fixpoint(g, a, order=rank_permutation(g.n, seed))
+        assert seeded == expected, (g, a, seed)
+
+
 class TestProbe:
     def test_c6_anchor_0(self, c6):
         res = probe(c6, everything(c6), 0)
@@ -186,7 +211,6 @@ class TestDecide:
             decide_eds(Graph.from_edges(0, []))
 
     def test_found_verdicts_match_bruteforce(self):
-        from eds_audit.eds import eds_size_bound
         seed = 0
         for n in (8, 10, 12):
             for _ in range(10):
@@ -197,7 +221,7 @@ class TestDecide:
                 if d.verdict == VERDICT_FOUND:
                     assert has
                     assert d.certificate.members in all_eds_bruteforce(g)
-                    assert len(d.certificate.members) == eds_size_bound(g)
+                    assert len(d.certificate.members) == g.n // 4  # n/(r+1), r=3
                 # NoneExists may in principle be wrong (the unproven
                 # direction); on this frozen corpus it never is
                 else:
