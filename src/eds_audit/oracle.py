@@ -6,7 +6,6 @@ verification semantics, so the cross-check stays meaningful.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,17 +23,13 @@ class OracleReport:
     has_eds: bool
     solutions: tuple[frozenset[int], ...]
     nodes_explored: int
-    elapsed: float
 
-    def to_json_dict(self, *, include_elapsed: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "has_eds": self.has_eds,
             "solutions": [sorted(s) for s in self.solutions],
             "nodes_explored": self.nodes_explored,
         }
-        if include_elapsed:
-            doc["elapsed"] = self.elapsed
-        return doc
 
 
 def _closed_masks(g: Graph) -> list[int]:
@@ -77,13 +72,12 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
         raise ValueError("oracle requires a nonempty graph")
     if g.n > cap:
         raise CapacityError(f"n={g.n} exceeds the oracle size guard {cap}")
-    start = time.perf_counter()
 
     if use_size_bound:
         r = is_regular(g)
         if r is not None and g.n % (r + 1):
             # divisibility failure alone proves no EDS exists
-            return OracleReport(False, (), 0, time.perf_counter() - start)
+            return OracleReport(False, (), 0)
 
     masks = _closed_masks(g)
     conflict = _conflict_masks(g, masks)
@@ -134,7 +128,7 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
         avail &= ~conflict[x]
 
     solutions = _sorted_solutions(found)
-    return OracleReport(bool(solutions), solutions, nodes, time.perf_counter() - start)
+    return OracleReport(bool(solutions), solutions, nodes)
 
 
 def solve_naive(g: Graph) -> OracleReport:
@@ -148,7 +142,6 @@ def solve_naive(g: Graph) -> OracleReport:
         raise ValueError("oracle requires a nonempty graph")
     if g.n > NAIVE_MAX_N:
         raise CapacityError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
-    start = time.perf_counter()
     masks = _closed_masks(g)
     full = (1 << g.n) - 1
     found = []
@@ -166,8 +159,7 @@ def solve_naive(g: Graph) -> OracleReport:
             if acc == full:
                 found.append(frozenset(_bits_to_ids(bits)))
     solutions = _sorted_solutions(found)
-    return OracleReport(bool(solutions), solutions, 1 << g.n,
-                        time.perf_counter() - start)
+    return OracleReport(bool(solutions), solutions, 1 << g.n)
 
 
 def _bits_to_ids(bits: int) -> list[int]:

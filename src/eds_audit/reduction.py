@@ -84,11 +84,13 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of probing one anchor: the reduced candidate set and drop log."""
+    """Outcome of probing one anchor: the reduced candidate set, drop log and
+    droppability-test count."""
 
     anchor: int
     survivors: frozenset[int]
     drops: tuple[TraceEvent, ...]
+    tests: int
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,6 @@ class Decision:
         return [e.to_json_dict() for e in self.trace]
 
 
-class _Work:
-    __slots__ = ("tests",)
-
-    def __init__(self) -> None:
-        self.tests = 0
-
-
 def drop_witness(g: Graph, candidates: VertexSet, v: int) -> int | None:
     """Smallest vertex c at distance 2 from v with (N(c) \\ N(v)) disjoint
     from ``candidates``; None if no such c.
@@ -139,8 +134,9 @@ def drop_witness(g: Graph, candidates: VertexSet, v: int) -> int | None:
 
 
 def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str,
-            work: _Work | None, events: list[TraceEvent]) -> set[int]:
-    """Drop filter to fixpoint, rescanning from the front after each drop.
+            events: list[TraceEvent]) -> int:
+    """Drop filter to fixpoint on ``current`` in place, rescanning from the
+    front after each drop; returns the number of droppability tests.
 
     Each test is drop_witness's test over ``g.drop_rows[v]``.  A drop keeps
     the relative order of the rest of the scan, so the candidates are sorted
@@ -162,9 +158,7 @@ def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str
                 break
         else:
             p += 1
-    if work is not None:
-        work.tests += tests
-    return current
+    return tests
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None,
@@ -188,13 +182,14 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
     """
     for v in a:
         g._check_vertex(v)
+    final = set(a)
     events: list[TraceEvent] = []
-    final = _reduce(g, set(a), order, stage, None, events)
+    _reduce(g, final, order, stage, events)
     return frozenset(final), tuple(events)
 
 
 def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = None,
-          stage: str = STAGE_PROBE, work: _Work | None = None) -> ProbeResult:
+          stage: str = STAGE_PROBE) -> ProbeResult:
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
     reduce to a fixpoint.
 
@@ -212,8 +207,8 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = 
     current -= g.adj[anchor]
     current.difference_update(g.second_lists[anchor])
     events: list[TraceEvent] = []
-    final = _reduce(g, current, order, stage, work, events)
-    return ProbeResult(anchor, frozenset(final), tuple(events))
+    tests = _reduce(g, current, order, stage, events)
+    return ProbeResult(anchor, frozenset(current), tuple(events), tests)
 
 
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
@@ -232,47 +227,36 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
         raise ValueError("decision procedure requires a connected graph")
 
     order = None if drop_order_seed is None else rank_permutation(g.n, drop_order_seed)
-    work = _Work()
-    trace: list[TraceEvent] = []
     key = None if order is None else order.__getitem__
+    trace: list[TraceEvent] = []
 
-    current = _reduce(g, set(range(g.n)), order, STAGE_INITIAL, work, trace)
+    current = set(range(g.n))
+    work = _reduce(g, current, order, STAGE_INITIAL, trace)
     if not current:
         return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, None,
-                        tuple(trace), work.tests)
+                        tuple(trace), work)
 
     committed: set[int] = set()
-    first_round = True
-    while True:
-        uncommitted = current - committed
-        if not uncommitted:
-            break
+    while uncommitted := current - committed:
         a = min(uncommitted, key=key)
-        in_reach = g.adj[a] & current
-        if order is None:
-            candidates = [a, *sorted(in_reach)]
-        else:
-            candidates = sorted({a} | in_reach, key=key)
-        accepted = None
-        for cand in candidates:
-            result = probe(g, frozenset(current), cand, order=order,
-                           stage=STAGE_MAIN, work=work)
+        # N(a) & current ranks after a: earlier vertices are anchors, whose probes removed N(anchor)
+        for cand in [a, *sorted(g.adj[a] & current, key=key)]:
+            result = probe(g, current, cand, order=order, stage=STAGE_MAIN)
+            work += result.tests
             if result.survivors:
-                accepted = result
                 break
             trace.append(TraceEvent(KIND_PROBE_EMPTY, cand, None, STAGE_MAIN))
-        if accepted is None:
-            reason = REASON_ALL_PROBES_EMPTY if first_round else REASON_EXHAUSTED
-            return Decision(VERDICT_NONE, None, reason, None, tuple(trace), work.tests)
-        trace.append(TraceEvent(KIND_COMMIT, accepted.anchor, None, STAGE_MAIN))
-        trace.extend(accepted.drops)
-        committed.add(accepted.anchor)
-        current = set(accepted.survivors)
-        first_round = False
+        else:
+            reason = REASON_EXHAUSTED if committed else REASON_ALL_PROBES_EMPTY
+            return Decision(VERDICT_NONE, None, reason, None, tuple(trace), work)
+        trace.append(TraceEvent(KIND_COMMIT, result.anchor, None, STAGE_MAIN))
+        trace.extend(result.drops)
+        committed.add(result.anchor)
+        current = result.survivors
 
     final = frozenset(current)
     if verify_eds(g, final):
         return Decision(VERDICT_FOUND, EdsCertificate(final, g.n), None, None,
-                        tuple(trace), work.tests)
+                        tuple(trace), work)
     return Decision(VERDICT_DISCREPANCY, None, REASON_NOT_EDS, final,
-                    tuple(trace), work.tests)
+                    tuple(trace), work)

@@ -234,6 +234,18 @@ def test_compare_counterexample_flow(capsys, tmp_path, monkeypatch):
         payload["oracle"], sort_keys=True, separators=(",", ":"))
 
 
+def test_counterexample_above_default_guard_replays(capsys, tmp_path):
+    # GP(68,7) has 136 vertices, past the oracle's default guard of 128; a
+    # disagreement saved under a raised --max-n must still replay
+    ce_dir = tmp_path / "ces"
+    code, _, _ = run(capsys, "compare", "--deterministic", "--max-n", "300",
+                     "--save-counterexamples", str(ce_dir),
+                     "--gen", "generalized-petersen:n=68,k=7")
+    assert code == 0
+    [saved] = ce_dir.glob("counterexample-*.json")
+    assert replay_counterexample(saved) == (True, "replay matches")
+
+
 def test_compare_jobs_parallel(capsys, tmp_path):
     # worker processes change timings only: rows come in input order
     spec = "random-regular:n=12,r=3,seed=1..20"

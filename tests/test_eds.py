@@ -43,7 +43,7 @@ def graph_and_set(draw, max_n=10):
 def test_characterizations_agree(case):
     # partition-of-closed-neighborhoods == literal definition, on random sets
     g, s = case
-    assert verify_eds(g, s, check_both=True) == eds_by_definition(g, s)
+    assert verify_eds(g, s) == eds_by_definition(g, s)
 
 
 @given(graph_and_set())

@@ -118,11 +118,7 @@ def test_capacity_guards():
 def test_elapsed_and_nodes_reported(c6):
     report = solve_naive(c6)
     assert report.nodes_explored == 64
-    assert report.elapsed >= 0.0
-    doc = report.to_json_dict()
-    assert set(doc) == {"has_eds", "solutions", "nodes_explored", "elapsed"}
-    assert set(report.to_json_dict(include_elapsed=False)) == {
-        "has_eds", "solutions", "nodes_explored"}
+    assert set(report.to_json_dict()) == {"has_eds", "solutions", "nodes_explored"}
 
 
 # Reference recursive search: solve_exact's original form, one Python frame

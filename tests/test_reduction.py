@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from eds_audit import reduction
 from eds_audit.generators import gen_random_regular, parse_genspec
-from eds_audit.graph import Graph
+from eds_audit.graph import Graph, parse_graph6
+from eds_audit.records import json_line
 from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
@@ -352,12 +354,10 @@ class TestSoundness:
 # The table-driven _reduce must reproduce its tests, drops and witnesses.
 
 
-def reference_drop_witness(g, candidates, v, work=None):
+def reference_drop_witness(g, candidates, v):
     g._check_vertex(v)
     if v not in candidates:
         raise ValueError(f"vertex {v} is not in the candidate set")
-    if work is not None:
-        work.tests += 1
     nv = g.adj[v]
     for c in g.second_lists[v]:
         if candidates.isdisjoint(g.adj[c] - nv):
@@ -365,17 +365,19 @@ def reference_drop_witness(g, candidates, v, work=None):
     return None
 
 
-def reference_reduce(g, current, order, stage, work, events):
+def reference_reduce(g, current, order, stage, events):
     key = None if order is None else order.__getitem__
+    tests = 0
     while True:
         for v in sorted(current, key=key):
-            c = reference_drop_witness(g, current, v, work)
+            tests += 1
+            c = reference_drop_witness(g, current, v)
             if c is not None:
                 current.discard(v)
                 events.append(TraceEvent(KIND_DROP, v, c, stage))
                 break
         else:
-            return current
+            return tests
 
 
 def on_reference(fn, *args, **kwargs):
@@ -393,6 +395,7 @@ def identity_corpus():
 
 
 def test_fixpoint_and_probe_trace_identity(identity_corpus):
+    # ProbeResult equality covers survivors, drop log and test count
     for g in identity_corpus:
         for order in [None] + [rank_permutation(g.n, seed) for seed in (1, 2)]:
             got = reduce_to_fixpoint(g, everything(g), order=order)
@@ -411,6 +414,61 @@ def test_decide_trace_identity(identity_corpus):
         for seed in range(1, 6):
             assert decide_eds(g, seed) == on_reference(decide_eds, g, seed), \
                 (g, seed)
+
+
+# The two known findings under the default order and seeds 1-5, recorded from
+# an earlier implementation of the decide loop: verdict, reason, committed
+# anchors, work_counter and sha256 of the canonical trace.
+FINDING_PINS = {
+    "K@U_?SRWe?O`": [
+        (None, VERDICT_NONE, REASON_EXHAUSTED, (0,), 31,
+         "64292958b69e45e8f7b2a8f21ae35c11f3bde752532e17f92679d17f4eab92c1"),
+        (1, VERDICT_FOUND, None, (7, 10, 2), 35,
+         "98dc2c2d81f4ef77ca043136e33a4a8b0f83a8a26affec04052edf8d5234f2e1"),
+        (2, VERDICT_NONE, REASON_EXHAUSTED, (11,), 26,
+         "f675df70310eee36e565a14d7c0c52bebec198a7f7e6ef5986c3042cccf32549"),
+        (3, VERDICT_FOUND, None, (7, 2, 10), 31,
+         "6715d2e1c382eddd0394a08af0db2aeca5c9236880fc3a9e70f648ca43888a36"),
+        (4, VERDICT_FOUND, None, (2, 7, 10), 21,
+         "35b5964e63e859f40adaf5e32c83ffe13f0914accc279b6e3cfaf6902227e531"),
+        (5, VERDICT_FOUND, None, (7, 10, 2), 30,
+         "846563fd27ec9bcfa611ce301e8261a7473e853855db632199a320fa360fcb31"),
+    ],
+    "generalized-petersen:n=28,k=11": [
+        (None, VERDICT_NONE, REASON_EXHAUSTED, (0, 3), 380,
+         "7cb662a7d4547b892d17a071bce05d40be6d00a6cb47e840197b1eebae878af6"),
+        (1, VERDICT_FOUND, None,
+         (4, 50, 42, 0, 46, 16, 20, 38, 54, 34, 30, 8, 24, 12), 765,
+         "c28539c4fe359754a1f84d566fb5acea9353da361bd06ee4363b17130625cdd1"),
+        (2, VERDICT_FOUND, None,
+         (20, 38, 0, 8, 24, 50, 16, 54, 4, 42, 34, 30, 12, 46), 733,
+         "147424e745fe1c728442333fea77490f628b964f5423cf454573202e27949b87"),
+        (3, VERDICT_FOUND, None,
+         (38, 54, 12, 42, 24, 8, 4, 20, 16, 46, 0, 30, 50, 34), 722,
+         "b3ed8e9853fba2874cc71b6b2adcbfb16729064c784383630e521b2e5e767455"),
+        (4, VERDICT_FOUND, None,
+         (26, 6, 44, 2, 28, 32, 48, 52, 18, 22, 40, 36, 14, 10), 525,
+         "c213e04e0abcf683ec7aca4feebae448212b1670f797d2dcd1472bc6113695fa"),
+        (5, VERDICT_FOUND, None,
+         (31, 21, 55, 43, 13, 1, 47, 25, 17, 51, 9, 5, 39, 35), 636,
+         "225769bd1c239d6474ed518805e2a9f5b85c0440af97678239e0e2314dbbb652"),
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(FINDING_PINS))
+def test_known_findings_pinned(source):
+    # the decide loop itself, checked against values from outside it: the
+    # graph6 finding goes wrong at commit 1, GP(28,11) at commit 2
+    if ":" in source:
+        g = parse_genspec(source).build()
+    else:
+        g = parse_graph6(source)
+    for seed, verdict, reason, committed, work, digest in FINDING_PINS[source]:
+        d = decide_eds(g, seed)
+        trace_sha = hashlib.sha256(json_line(d.trace_json()).encode()).hexdigest()
+        assert (d.verdict, d.reason, d.committed, d.work_counter, trace_sha) == \
+            (verdict, reason, committed, work, digest), seed
 
 
 @pytest.mark.parametrize("spec, tests", [
