@@ -101,14 +101,15 @@ def _parse_seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
-def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph]]:
+def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
     Errors in the input source (input given with --gen, a missing file, an
     empty input) are raised by this call, before the caller opens its output.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
-    record and replay refers to.
+    record and replay refers to.  A --gen spec whose generator gives up
+    yields its capacity SkipRecord instead (graph6 "", since no graph exists).
     """
     gen_args = getattr(args, "gen", None) or []
     if gen_args:
@@ -141,9 +142,13 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph]]:
     return iter(list(_decoded(lines))) if literal else _decoded(lines)
 
 
-def _built(specs: list[GenSpec]) -> Iterator[tuple[str, str, Graph]]:
+def _built(specs: list[GenSpec]) -> Iterator[tuple[str, str, Graph] | SkipRecord]:
     for spec in specs:
-        g = spec.build()
+        try:
+            g = spec.build()
+        except CapacityError:
+            yield SkipRecord("", spec.n, REASON_CAPACITY, spec.canonical())
+            continue
         yield encode_graph6(g), spec.canonical(), g
 
 
@@ -215,10 +220,12 @@ def cmd_oracle(args) -> int:
 # compare
 
 
-def _compare_one(item: tuple[str, str | None, Graph], deterministic: bool,
+def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic: bool,
                  cap: int | None) -> dict:
     """One compare row for a collect_inputs item; returns row + optional
     counterexample parts."""
+    if isinstance(item, SkipRecord):
+        return {"skip": item.to_json_dict()}
     graph6, genspec, g = item
     err = precondition_error(g)
     if err:
@@ -330,7 +337,7 @@ def _run_compare(inputs, deterministic, cap, jobs):
                 item = next(items)
             except StopIteration:
                 break
-            except (ValueError, CapacityError):
+            except ValueError:
                 yield from (future.result() for future in window)
                 raise
             window.append(pool.submit(one, item))
@@ -342,11 +349,14 @@ def _run_compare(inputs, deterministic, cap, jobs):
 # audit-facts
 
 
-def _audit_one(graph6: str, genspec: str | None, g: Graph, cap: int) -> dict:
+def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> dict:
+    if isinstance(item, SkipRecord):
+        return item.to_json_dict()
+    graph6, genspec, g = item
     if g.n == 0:
         return SkipRecord(graph6, 0, "empty-graph", genspec).to_json_dict()
     if g.n > cap:
-        raise CapacityError(f"n={g.n} exceeds the audit size guard {cap}")
+        return SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()
     enum = solve_exact(g, enumerate_all=True, max_n=cap)
     solutions = enum.solutions
     union = frozenset().union(*solutions) if solutions else frozenset()
@@ -401,18 +411,14 @@ def cmd_audit_facts(args) -> int:
     total = 0
     inputs = collect_inputs(args)
     with _open_out(args) as out:
-        for graph6, genspec, g in inputs:
-            try:
-                row = _audit_one(graph6, genspec, g, cap)
-            except CapacityError:
-                skip = SkipRecord(graph6, g.n, REASON_CAPACITY, genspec)
-                _print(json_line(skip.to_json_dict()), out)
-                status = max(status, EXIT_CAPACITY)
-                continue
+        for item in inputs:
+            row = _audit_one(item, cap)
             _print(json_line(row), out)
             if row["kind"] == KIND_AUDIT:
                 total += 1
                 sound += 1 if row["sound"] else 0
+            elif row["reason"] == REASON_CAPACITY:
+                status = EXIT_CAPACITY
         summary = {"kind": KIND_SUMMARY, "total": total, "sound": sound}
         _print(json_line(summary), sys.stdout)
     return status

@@ -78,8 +78,11 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     """Seeded r-regular connected simple graph on n vertices via stub pairing.
 
     Each attempt draws a fresh SplitMix64 stream from the master stream,
-    shuffles the n*r stub list, and pairs consecutive stubs; attempts with a
-    loop or repeated edge, or a disconnected result, are rejected whole.
+    shuffles the n*r stub list, and pairs consecutive stubs.  Pairs are
+    checked as the shuffle fixes them, from the top down, and an attempt is
+    rejected at the first loop or repeated edge; a complete one is rejected
+    if it is disconnected.  Which attempts pass, and their edges, do not
+    depend on the order the pairs are checked in.
     """
     if n < 1 or r < 0 or r >= n:
         raise ValueError("random regular graph needs 0 <= r < n")
@@ -88,10 +91,10 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     master = SplitMix64(seed)
     template = [v for v in range(n) for _ in range(r)]
     for _ in range(PAIRING_RETRY_BUDGET):
-        stubs = template.copy()
-        SplitMix64(master.next_u64()).shuffle(stubs)
+        # one iterator zipped with itself pairs stubs (2k+1, 2k), k top-down
+        it = SplitMix64(master.next_u64()).shuffle(template.copy())
         seen: set[tuple[int, int]] = set()
-        for u, v in zip(stubs[::2], stubs[1::2]):
+        for u, v in zip(it, it):
             if u == v:
                 break
             key = (u, v) if u < v else (v, u)

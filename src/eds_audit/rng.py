@@ -7,12 +7,15 @@ bit-reproducible across platforms and implementations:
 - output: z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
   z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31  (all mod 2^64)
 - bounded draw: next_u64() % bound
-- shuffle: Fisher-Yates from the last index down, j = randbelow(i + 1)
+- shuffle: Fisher-Yates from the last index down, j = randbelow(i + 1),
+  lazily: the swap at i fixes items[i] for good, so it is yielded then, and
+  items[0] comes last; a caller can stop at the first position it rejects
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,7 +38,14 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def shuffle(self, items: list) -> None:
+    def shuffle(self, items: list) -> Iterator:
+        """Shuffle ``items`` in place, yielding each position as it is fixed.
+
+        Yields items[len - 1], items[len - 2], ..., items[0] of the final
+        list: after k yields, items[len - k:] is final.  Only a drained
+        shuffle leaves ``items`` fully shuffled and advances the stream (by
+        len - 1 draws); one abandoned early leaves the stream untouched.
+        """
         # next_u64() % (i + 1) inlined on a local copy of the state, written
         # back once: same draws, no method calls per swap
         state = self.state
@@ -45,7 +55,10 @@ class SplitMix64:
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+            yield items[i]
         self.state = state
+        if items:
+            yield items[0]
 
 
 @lru_cache(maxsize=1024)
@@ -57,9 +70,8 @@ def rank_permutation(n: int, seed: int) -> tuple[int, ...]:
     once per graph, so results are cached; a tuple, so no caller can change
     a cached order.
     """
-    order = list(range(n))
-    SplitMix64(seed).shuffle(order)
     rank = [0] * n
-    for pos, v in enumerate(order):
-        rank[v] = pos
+    # the shuffle yields positions n-1 down to 0 of the shuffled order
+    for k, v in enumerate(SplitMix64(seed).shuffle(list(range(n)))):
+        rank[v] = n - 1 - k
     return tuple(rank)

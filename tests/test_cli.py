@@ -185,6 +185,23 @@ def test_compare_capacity_skip_continues(capsys, tmp_path):
     assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
 
 
+def test_compare_generator_capacity_skip_continues(capsys):
+    # r = 6 on 14 vertices exhausts the pairing budget: no graph exists, so
+    # the row is a capacity skip, and later specs and the summary still run
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "compare", "--deterministic", "--jobs", jobs,
+                           "--gen", "cycle:n=9",
+                           "--gen", "random-regular:n=14,r=6,seed=1",
+                           "--gen", "cycle:n=12")
+        assert code == 3
+        rows = out_lines(out)
+        assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
+        assert rows[1] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 14,
+                           "genspec": "random-regular:n=14,r=6,seed=1"}
+        assert [rows[0]["n"], rows[2]["n"]] == [9, 12]
+        assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
+
+
 def test_compare_work_budget_flag(capsys, monkeypatch):
     # with a tiny budget the harness records the finding instead of crashing
     monkeypatch.setattr(reduction, "work_budget", lambda n: 1)
@@ -325,6 +342,18 @@ def test_audit_facts_capacity(capsys):
     assert code == 3
     rows = out_lines(out)
     assert rows[0]["kind"] == "skip" and rows[0]["reason"] == "capacity"
+
+
+def test_audit_facts_generator_capacity_skip_continues(capsys):
+    code, out, _ = run(capsys, "audit-facts", "--gen", "random-regular:n=14,r=6,seed=1..2",
+                       "--gen", "cycle:n=9")
+    assert code == 3
+    rows = out_lines(out)
+    assert [r["kind"] for r in rows] == ["skip", "skip", "audit", "summary"]
+    assert [(r["reason"], r["graph6"], r["n"], r["genspec"]) for r in rows[:2]] == [
+        ("capacity", "", 14, f"random-regular:n=14,r=6,seed={seed}") for seed in (1, 2)]
+    assert rows[2]["n"] == 9 and rows[2]["sound"] is True
+    assert rows[3] == {"kind": "summary", "total": 1, "sound": 1}
 
 
 def test_input_and_gen_conflict(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 
 import pytest
 
@@ -10,10 +11,10 @@ import eds_audit.cli as cli
 
 from eds_audit.errors import CapacityError
 from eds_audit.generators import (
-    gen_circulant, gen_complete, gen_cycle, gen_hypercube, gen_petersen,
+    PAIRING_RETRY_BUDGET, gen_circulant, gen_complete, gen_cycle, gen_hypercube, gen_petersen,
     gen_random_regular, parse_genspec,
 )
-from eds_audit.graph import encode_graph6, is_connected, is_regular
+from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular
 from eds_audit.rng import SplitMix64, rank_permutation
 
 from .conftest import complete, cycle, hypercube, petersen
@@ -83,6 +84,69 @@ def test_random_regular_sweep():
         assert g.n == 8
 
 
+def _reference_random_regular(n: int, r: int, seed: int):
+    """The whole-attempt pairing loop: shuffle every stub, then check the
+    pairs (2k, 2k+1) bottom-up.  gen_random_regular must accept and reject
+    the same attempts and build the same edges."""
+    master = SplitMix64(seed)
+    template = [v for v in range(n) for _ in range(r)]
+    for _ in range(PAIRING_RETRY_BUDGET):
+        stubs = template.copy()
+        deque(SplitMix64(master.next_u64()).shuffle(stubs), maxlen=0)
+        seen = set()
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v:
+                break
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                break
+            seen.add(key)
+        else:
+            g = Graph.from_edges(n, sorted(seen))
+            if is_connected(g):
+                return g
+    raise CapacityError(f"no pairing for n={n}, r={r}, seed={seed}")
+
+
+def _count_shuffles(monkeypatch) -> list[int]:
+    calls = [0]
+    shuffle = SplitMix64.shuffle
+
+    def counted(self, items):
+        calls[0] += 1
+        return shuffle(self, items)
+
+    monkeypatch.setattr(SplitMix64, "shuffle", counted)
+    return calls
+
+
+def test_random_regular_matches_whole_attempt_reference(monkeypatch):
+    calls = _count_shuffles(monkeypatch)
+    # r = 5 needs about 400 attempts a graph, each a full reference shuffle,
+    # so it runs 10 seeds where r = 3 and 4 run 30
+    for r, seeds in ((3, 30), (4, 30), (5, 10)):
+        for n in range(r + 1, 41):
+            if n * r % 2:
+                continue
+            for seed in range(1, seeds + 1):
+                calls[0] = 0
+                got = encode_graph6(gen_random_regular(n, r, seed))
+                attempts = calls[0]
+                calls[0] = 0
+                assert got == encode_graph6(_reference_random_regular(n, r, seed))
+                assert attempts == calls[0], (n, r, seed)
+
+
+def test_random_regular_capacity_matches_reference(monkeypatch):
+    # r = 6 on 14 vertices: every attempt fails, on both sides
+    calls = _count_shuffles(monkeypatch)
+    for build in (gen_random_regular, _reference_random_regular):
+        calls[0] = 0
+        with pytest.raises(CapacityError):
+            build(14, 6, 1)
+        assert calls[0] == PAIRING_RETRY_BUDGET
+
+
 def test_random_regular_impossible_exhausts_budget():
     # r=0 on two vertices can never be connected
     with pytest.raises(CapacityError, match="attempts"):
@@ -140,19 +204,26 @@ def test_rank_permutation_properties():
 
 
 def test_shuffle_matches_randbelow_fisher_yates():
-    # shuffle inlines the draws; it must consume the stream exactly like
-    # Fisher-Yates from the top index down on randbelow
+    # shuffle inlines the draws; drained, it must consume the stream exactly
+    # like Fisher-Yates from the top index down on randbelow, and it must
+    # yield each position as soon as that position is final
     for seed in (0, 1, 42, 2**64 - 1):
         for length in (0, 1, 2, 7, 60):
-            got = list(range(length))
-            rng = SplitMix64(seed)
-            rng.shuffle(got)
             expected = list(range(length))
             ref = SplitMix64(seed)
             for i in range(length - 1, 0, -1):
                 j = ref.randbelow(i + 1)
                 expected[i], expected[j] = expected[j], expected[i]
+            got = list(range(length))
+            rng = SplitMix64(seed)
+            yielded = []
+            for item in rng.shuffle(got):
+                yielded.append(item)
+                # early rejection reads only the suffix fixed so far
+                k = len(yielded)
+                assert got[length - k:] == expected[length - k:]
             assert got == expected
+            assert yielded == expected[::-1]
             assert rng.next_u64() == ref.next_u64()
 
 
