@@ -4,7 +4,7 @@ from .eds import EdsCertificate, verify_eds
 from .errors import CapacityError, ParseError
 from .generators import (
     GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
-    gen_petersen, gen_random_regular, parse_genspec,
+    gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
 )
 from .graph import (
     Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_edge_list,
@@ -12,7 +12,7 @@ from .graph import (
 )
 from .oracle import OracleReport, solve_exact, solve_naive
 from .reduction import (
-    Decision, ProbeResult, TraceEvent, decide_eds, drop_witness, probe,
+    Decision, ProbeResult, TraceEvent, decide_eds, probe,
     reduce_to_fixpoint, work_budget,
 )
 
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "Decision", "EdsCertificate", "GenSpec", "Graph",
     "OracleReport", "ParseError", "ProbeResult", "TraceEvent", "VertexSet",
-    "decide_eds", "drop_witness", "encode_graph6", "gen_circulant",
-    "gen_complete", "gen_cycle", "gen_hypercube", "gen_petersen",
-    "gen_random_regular", "is_connected", "is_regular", "parse_edge_list",
-    "parse_genspec", "parse_graph6", "probe", "reduce_to_fixpoint",
+    "decide_eds", "encode_graph6", "gen_circulant", "gen_complete",
+    "gen_cycle", "gen_hypercube", "gen_petersen", "gen_random_regular",
+    "is_connected", "is_regular", "parse_edge_list", "parse_genspec",
+    "parse_genspecs", "parse_graph6", "probe", "reduce_to_fixpoint",
     "solve_exact", "solve_naive", "verify_eds", "work_budget",
 ]

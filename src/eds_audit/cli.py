@@ -8,7 +8,6 @@ procedure and the oracle is a recorded finding, never a failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections import deque
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import CapacityError, ParseError
-from .generators import GenSpec, parse_genspec
+from .generators import GenSpec, parse_genspecs
 from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_list, parse_graph6
 from .oracle import solve_exact
 from .records import (
@@ -29,14 +28,12 @@ from .records import (
 )
 from .reduction import (
     REASON_EXHAUSTED, VERDICT_DISCREPANCY,
-    decide_eds, drop_witness, probe, reduce_to_fixpoint, work_budget,
+    decide_eds, probe, reduce_to_fixpoint, work_budget,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
-
-ENV_MAX_N = "EDS_AUDIT_MAX_N"
 
 AUDIT_DEFAULT_MAX_N = 20
 # graphs in flight per `compare --jobs` worker: enough that one slow graph at
@@ -50,55 +47,6 @@ REASON_CAPACITY = "capacity"
 
 def _print(line: str, out) -> None:
     out.write(line + "\n")
-
-
-def oracle_cap(args) -> int | None:
-    if getattr(args, "max_n", None) is not None:
-        return args.max_n
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"{ENV_MAX_N} must be an integer, got {env!r}") from None
-    return None
-
-
-def expand_gen_args(gen_args: list[str], seeds: str | None) -> list[GenSpec]:
-    """Expand --gen arguments, including 'seed=A..B' ranges and --seeds."""
-    specs: list[GenSpec] = []
-    for text in gen_args:
-        rng = None
-        base = text
-        if "seed=" in text:
-            head, _, tail = text.rpartition("seed=")
-            if ".." in tail:
-                rng = _parse_seed_range(tail)
-                base = head.rstrip(",").rstrip(":")
-        if rng is None and seeds is not None and text.startswith("random-regular")\
-                and "seed=" not in text:
-            rng = _parse_seed_range(seeds)
-            base = text
-        if rng is None:
-            specs.append(parse_genspec(text))
-        else:
-            sep = ":" if ":" not in base else ","
-            for s in rng:
-                specs.append(parse_genspec(f"{base}{sep}seed={s}"))
-    return specs
-
-
-def _parse_seed_range(text: str) -> range:
-    """Seeds A..B inclusive, or a single seed; B < A is an error, not empty."""
-    lo, dots, hi = text.partition("..")
-    try:
-        first = int(lo)
-        last = int(hi) if dots else first
-    except ValueError:
-        raise ParseError(f"bad seed range {text!r}") from None
-    if last < first:
-        raise ParseError(f"bad seed range {text!r}: end is below start")
-    return range(first, last + 1)
 
 
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
@@ -115,7 +63,7 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     if gen_args:
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
-        return _built(expand_gen_args(gen_args, getattr(args, "seeds", None)))
+        return _built([spec for text in gen_args for spec in parse_genspecs(text)])
     literal = False
     if args.input is None or args.input == "-":
         text = sys.stdin.read()
@@ -198,11 +146,10 @@ def precondition_error(g: Graph) -> str | None:
 
 
 def cmd_oracle(args) -> int:
-    cap = oracle_cap(args)
     status = EXIT_OK
     for graph6, _, g in collect_inputs(args):
         try:
-            report = solve_exact(g, enumerate_all=args.enumerate, max_n=cap)
+            report = solve_exact(g, enumerate_all=args.enumerate, max_n=args.max_n)
         except CapacityError as exc:
             _print(json_line({"graph6": graph6, "error": "capacity", "message": str(exc)}),
                    sys.stdout)
@@ -279,7 +226,7 @@ def cmd_compare(args) -> int:
         if save_dir is not None:
             save_dir.mkdir(parents=True, exist_ok=True)
         results = _run_compare(inputs, args.deterministic,
-                               oracle_cap(args), max(1, args.jobs))
+                               args.max_n, max(1, args.jobs))
         status = EXIT_OK
         totals = {"rows": 0, "skips": 0, "agreements": 0,
                   "counterexamples": 0, "max_work_counter": 0}
@@ -362,17 +309,11 @@ def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> di
     union = frozenset().union(*solutions) if solutions else frozenset()
     everything = frozenset(range(g.n))
 
-    filter_violations = []
-    for sol in solutions:
-        for v in sorted(sol):
-            witness = drop_witness(g, everything, v)
-            if witness is not None:
-                filter_violations.append({"vertex": v, "witness": witness})
-
+    # droppability is monotone (reduce_to_fixpoint), so a solution vertex
+    # droppable from V cannot reach the fixpoint: the drop log names it
     baseline, drops = reduce_to_fixpoint(g, everything)
-    for event in drops:
-        if event.vertex in union:
-            filter_violations.append({"vertex": event.vertex, "witness": event.witness})
+    filter_violations = [{"vertex": e.vertex, "witness": e.witness}
+                         for e in drops if e.vertex in union]
 
     probe_violations = []
     converse_violations = []
@@ -428,7 +369,7 @@ def cmd_audit_facts(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    specs = expand_gen_args(args.spec, args.seeds)
+    specs = [spec for text in args.spec for spec in parse_genspecs(text)]
     with _open_out(args) as out:
         for spec in specs:
             _print(encode_graph6(spec.build()), out)
@@ -449,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_gen:
             p.add_argument("--gen", action="append", default=[],
                            metavar="SPEC", help="generate graphs instead of reading input")
-            p.add_argument("--seeds", help="seed range A..B applied to --gen specs")
 
     p = sub.add_parser("decide", help="run the decision procedure per graph")
     add_input(p, with_gen=False)
@@ -482,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit_facts)
 
     p = sub.add_parser("gen", help="emit graph6 lines for generator specs")
-    p.add_argument("spec", nargs="+", help="generator spec, e.g. cycle:n=6")
-    p.add_argument("--seeds", help="seed range A..B for random-regular specs")
+    p.add_argument("spec", nargs="+",
+                   help="generator spec, e.g. cycle:n=6 or random-regular:n=8,r=3,seed=1..20")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
     return parser

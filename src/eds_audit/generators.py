@@ -8,21 +8,13 @@ the SplitMix64 generator so corpora are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import CapacityError
+from .errors import CapacityError, ParseError
 from .graph import Graph, is_connected
 from .rng import SplitMix64
 
 PAIRING_RETRY_BUDGET = 10_000
-
-FAMILIES = (
-    "cycle",
-    "complete",
-    "hypercube",
-    "circulant",
-    "generalized-petersen",
-    "random-regular",
-)
 
 
 def gen_cycle(n: int) -> Graph:
@@ -110,10 +102,31 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
         f"within {PAIRING_RETRY_BUDGET} attempts")
 
 
+# family -> (builder, its parameter names in argument and canonical order)
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "cycle": (gen_cycle, ("n",)),
+    "complete": (gen_complete, ("n",)),
+    "hypercube": (gen_hypercube, ("d",)),
+    "circulant": (gen_circulant, ("n", "offsets")),
+    "generalized-petersen": (gen_petersen, ("n", "k")),
+    "random-regular": (gen_random_regular, ("n", "r", "seed")),
+}
+
+
+def _family(name: str) -> tuple[Callable[..., Graph], tuple[str, ...]]:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown graph family {name!r}") from None
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """One generator invocation, with a canonical string form for CLI flags
-    and report rows (e.g. 'random-regular:n=10,r=3,seed=42')."""
+    and report rows (e.g. 'random-regular:n=10,r=3,seed=42').
+
+    The family must be known and each of its parameters set.
+    """
 
     family: str
     n: int | None = None
@@ -123,81 +136,75 @@ class GenSpec:
     offsets: tuple[int, ...] | None = None
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        _, params = _family(self.family)
+        missing = [p for p in params if getattr(self, p) is None]
+        if missing:
+            raise ValueError(f"{self.family} spec missing {sorted(missing)}")
+
     def canonical(self) -> str:
         parts = []
-        for name in ("n", "r", "d", "k"):
+        for name in _FAMILIES[self.family][1]:
             value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        if self.offsets is not None:
-            parts.append("offsets=" + "+".join(str(o) for o in self.offsets))
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
+            text = "+".join(map(str, value)) if name == "offsets" else value
+            parts.append(f"{name}={text}")
         return f"{self.family}:{','.join(parts)}"
 
     def build(self) -> Graph:
-        if self.family == "cycle":
-            return gen_cycle(self._need("n"))
-        if self.family == "complete":
-            return gen_complete(self._need("n"))
-        if self.family == "hypercube":
-            return gen_hypercube(self._need("d"))
-        if self.family == "circulant":
-            if self.offsets is None:
-                raise ValueError("circulant spec needs offsets")
-            return gen_circulant(self._need("n"), self.offsets)
-        if self.family == "generalized-petersen":
-            return gen_petersen(self._need("n"), self._need("k"))
-        if self.family == "random-regular":
-            if self.seed is None:
-                raise ValueError("random-regular spec needs a seed")
-            return gen_random_regular(self._need("n"), self._need("r"), self.seed)
-        raise ValueError(f"unknown graph family {self.family!r}")
-
-    def _need(self, name: str) -> int:
-        value = getattr(self, name)
-        if value is None:
-            raise ValueError(f"{self.family} spec needs parameter {name}")
-        return value
+        builder, params = _FAMILIES[self.family]
+        return builder(*(getattr(self, p) for p in params))
 
 
-_SPEC_KEYS = {
-    "cycle": {"n"},
-    "complete": {"n"},
-    "hypercube": {"d"},
-    "circulant": {"n", "offsets"},
-    "generalized-petersen": {"n", "k"},
-    "random-regular": {"n", "r", "seed"},
-}
+def _seed_range(value: str) -> range:
+    """Seeds A..B inclusive; B < A is an error, not an empty sweep."""
+    lo, _, hi = value.partition("..")
+    try:
+        first, last = int(lo), int(hi)
+    except ValueError:
+        raise ParseError(f"bad seed range {value!r}") from None
+    if last < first:
+        raise ParseError(f"bad seed range {value!r}: end is below start")
+    return range(first, last + 1)
 
 
-def parse_genspec(text: str) -> GenSpec:
-    """Parse the canonical 'family:key=value,...' form."""
+def parse_genspecs(text: str) -> list[GenSpec]:
+    """Parse 'family:key=value,...', keys in any order.
+
+    A 'seed=A..B' wherever it appears expands to one spec per seed, A to B
+    inclusive, in seed order.
+    """
     family, _, rest = text.partition(":")
     family = family.strip()
-    if family not in _SPEC_KEYS:
-        raise ValueError(f"unknown graph family {family!r}")
-    allowed = _SPEC_KEYS[family]
+    _, params = _family(family)
     fields: dict[str, object] = {}
     for chunk in filter(None, (p.strip() for p in rest.split(","))):
         key, eq, value = chunk.partition("=")
         key = key.strip()
-        if not eq or key not in allowed:
+        if not eq or key not in params:
             raise ValueError(f"bad parameter {chunk!r} for family {family!r}")
         if key in fields:
             raise ValueError(f"duplicate parameter {key!r}")
         if key == "offsets":
             try:
-                offs = tuple(int(o) for o in value.split("+"))
+                fields[key] = tuple(int(o) for o in value.split("+"))
             except ValueError:
                 raise ValueError(f"bad offsets {value!r}") from None
-            fields["offsets"] = offs
+        elif key == "seed" and ".." in value:
+            fields[key] = _seed_range(value)
         else:
             try:
                 fields[key] = int(value)
             except ValueError:
                 raise ValueError(f"non-integer value in {chunk!r}") from None
-    missing = allowed - set(fields)
-    if missing:
-        raise ValueError(f"{family} spec missing {sorted(missing)}")
-    return GenSpec(family=family, **fields)  # type: ignore[arg-type]
+    seed = fields.pop("seed", None)
+    return [GenSpec(family, seed=s, **fields)  # type: ignore[arg-type]
+            for s in (seed if isinstance(seed, range) else (seed,))]
+
+
+def parse_genspec(text: str) -> GenSpec:
+    """Parse a spec that names exactly one graph; a seed range over several
+    seeds is an error."""
+    specs = parse_genspecs(text)
+    if len(specs) != 1:
+        raise ValueError(f"{text!r} names {len(specs)} graphs, not one")
+    return specs[0]

@@ -117,30 +117,15 @@ class Decision:
         return [e.to_json_dict() for e in self.trace]
 
 
-def drop_witness(g: Graph, candidates: VertexSet, v: int) -> int | None:
-    """Smallest vertex c at distance 2 from v with (N(c) \\ N(v)) disjoint
-    from ``candidates``; None if no such c.
-
-    A returned witness certifies that v belongs to no efficient dominating
-    set contained in ``candidates``.
-    """
-    g._check_vertex(v)
-    if v not in candidates:
-        raise ValueError(f"vertex {v} is not in the candidate set")
-    for c, outside in g.drop_rows[v]:
-        if candidates.isdisjoint(outside):
-            return c
-    return None
-
-
 def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str,
             events: list[TraceEvent]) -> int:
     """Drop filter to fixpoint on ``current`` in place, rescanning from the
     front after each drop; returns the number of droppability tests.
 
-    Each test is drop_witness's test over ``g.drop_rows[v]``.  A drop keeps
-    the relative order of the rest of the scan, so the candidates are sorted
-    only once.
+    A test of v looks for the first row (c, N(c) - N(v)) of ``g.drop_rows[v]``
+    disjoint from ``current``; its c is the witness.  A drop keeps the
+    relative order of the rest of the scan, so the candidates are sorted only
+    once.
     """
     rows = g.drop_rows
     scan = sorted(current, key=None if order is None else order.__getitem__)
@@ -161,8 +146,7 @@ def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str
     return tests
 
 
-def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None,
-                       stage: str = STAGE_INITIAL,
+def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None
                        ) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
     """Apply the drop filter until no vertex of ``a`` qualifies.
 
@@ -184,7 +168,7 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
         g._check_vertex(v)
     final = set(a)
     events: list[TraceEvent] = []
-    _reduce(g, final, order, stage, events)
+    _reduce(g, final, order, STAGE_INITIAL, events)
     return frozenset(final), tuple(events)
 
 

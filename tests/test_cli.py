@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
+
+import pytest
 
 import eds_audit.cli as cli
 from eds_audit import reduction
 from eds_audit.generators import gen_random_regular
-from eds_audit.graph import encode_graph6
+from eds_audit.graph import Graph, encode_graph6
 from eds_audit.records import parse_record_line, replay_counterexample
 
 from .conftest import cycle, path, petersen
@@ -85,15 +88,6 @@ def test_oracle_capacity_exit(capsys):
     assert out_lines(out)[0]["error"] == "capacity"
 
 
-def test_oracle_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_N, "4")
-    code, out, _ = run(capsys, "oracle", "EhEG")
-    assert code == 3
-    monkeypatch.setenv(cli.ENV_MAX_N, "60")
-    code, out, _ = run(capsys, "oracle", "EhEG")
-    assert code == 0
-
-
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
     code2, out2, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
@@ -120,15 +114,19 @@ def test_gen_seed_range(capsys):
 
 
 def test_gen_seeds_flag(capsys):
-    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3", "--seeds", "1..3")
+    # a seed range is written in the spec; there is no separate --seeds flag
+    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3,seed=1..3")
     assert code == 0 and len(out.strip().splitlines()) == 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "random-regular:n=8,r=3", "--seeds", "1..3"])
+    assert exc.value.code == 2
 
 
 def test_gen_reversed_seed_range_is_an_error(capsys):
     # B < A is a typo, not an empty sweep: exit 2 and print nothing
-    code, out, err = run(capsys, "gen", "random-regular:n=8,r=3", "--seeds", "4..2")
+    code, out, err = run(capsys, "gen", "random-regular:n=8,r=3,seed=4..2")
     assert code == 2 and out == "" and "bad seed range" in err
-    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3", "--seeds", "4..4")
+    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3,seed=4..4")
     assert code == 0 and len(out.strip().splitlines()) == 1
 
 
@@ -354,6 +352,36 @@ def test_audit_facts_generator_capacity_skip_continues(capsys):
         ("capacity", "", 14, f"random-regular:n=14,r=6,seed={seed}") for seed in (1, 2)]
     assert rows[2]["n"] == 9 and rows[2]["sound"] is True
     assert rows[3] == {"kind": "summary", "total": 1, "sound": 1}
+
+
+def audit_c6() -> tuple[str, None, Graph]:
+    g = cycle(6)  # solutions {0, 3}, {1, 4}, {2, 5}
+    return encode_graph6(g), None, g
+
+
+def test_audit_reports_a_filter_that_drops_a_solution_vertex():
+    # a broken drop rule: an always-disjoint row (2, ()) first in vertex 0's rows
+    item = audit_c6()
+    g = item[2]
+    vars(g)["drop_rows"] = (((2, ()),) + g.drop_rows[0],) + g.drop_rows[1:]
+    row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
+    assert row["sound"] is False
+    assert {"vertex": 0, "witness": 2} in row["filter_soundness_violations"]
+
+
+def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
+    # a broken probe: anchor 3 lies in the solution {0, 3}, yet probes empty
+    real = cli.probe
+
+    def broken(g, a, anchor, **kwargs):
+        result = real(g, a, anchor, **kwargs)
+        return replace(result, survivors=frozenset()) if anchor == 3 else result
+
+    monkeypatch.setattr(cli, "probe", broken)
+    row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
+    assert row["sound"] is False
+    assert row["filter_soundness_violations"] == []
+    assert row["probe_soundness_violations"] == [{"anchor": 3}]
 
 
 def test_input_and_gen_conflict(capsys):

@@ -9,10 +9,11 @@ import pytest
 
 import eds_audit.cli as cli
 
-from eds_audit.errors import CapacityError
+from eds_audit import generators
+from eds_audit.errors import CapacityError, ParseError
 from eds_audit.generators import (
-    PAIRING_RETRY_BUDGET, gen_circulant, gen_complete, gen_cycle, gen_hypercube, gen_petersen,
-    gen_random_regular, parse_genspec,
+    PAIRING_RETRY_BUDGET, GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
+    gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
 )
 from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular
 from eds_audit.rng import SplitMix64, rank_permutation
@@ -154,11 +155,14 @@ def test_random_regular_impossible_exhausts_budget():
 
 
 def test_genspec_roundtrip():
-    for text in ("cycle:n=6", "complete:n=4", "hypercube:d=3",
-                 "circulant:n=9,offsets=1+2", "generalized-petersen:n=5,k=2",
-                 "random-regular:n=10,r=3,seed=42"):
+    texts = ("cycle:n=6", "complete:n=4", "hypercube:d=3",
+             "circulant:n=9,offsets=1+2", "generalized-petersen:n=5,k=2",
+             "random-regular:n=10,r=3,seed=42")
+    assert [text.partition(":")[0] for text in texts] == list(generators._FAMILIES)
+    for text in texts:
         spec = parse_genspec(text)
         assert spec.canonical() == text
+        assert parse_genspecs(text) == [spec]
         spec.build()
 
 
@@ -182,6 +186,42 @@ def test_genspec_errors():
         parse_genspec("cycle:n=six")
     with pytest.raises(ValueError, match="duplicate"):
         parse_genspec("cycle:n=6,n=7")
+    with pytest.raises(ValueError, match="bad offsets"):
+        parse_genspec("circulant:n=9,offsets=1+x")
+    for seeds in ("1..x", "..3", "4..2"):
+        with pytest.raises(ParseError, match="bad seed range"):
+            parse_genspecs(f"random-regular:n=8,r=3,seed={seeds}")
+    with pytest.raises(ParseError, match="end is below start"):
+        parse_genspecs("random-regular:seed=4..2,n=8,r=3")
+    with pytest.raises(ValueError, match="bad parameter"):
+        parse_genspecs("cycle:n=6,seed=1..3")
+
+
+def test_seed_range_expands_in_any_position(capsys):
+    singles = [parse_genspec(f"random-regular:n=8,r=3,seed={s}") for s in (1, 2, 3)]
+    lines = [encode_graph6(spec.build()) for spec in singles]
+    for text in ("random-regular:n=8,r=3,seed=1..3", "random-regular:seed=1..3,n=8,r=3",
+                 "random-regular:n=8,seed=1..3,r=3"):
+        assert parse_genspecs(text) == singles
+        assert cli.main(["gen", text]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+    assert parse_genspecs("random-regular:n=8,r=3,seed=2..2") == singles[1:2]
+
+
+def test_parse_genspec_rejects_a_range():
+    with pytest.raises(ValueError, match="names 3 graphs, not one"):
+        parse_genspec("random-regular:n=8,r=3,seed=1..3")
+
+
+def test_genspec_needs_every_parameter():
+    with pytest.raises(ValueError, match="missing"):
+        GenSpec(family="cycle").build()
+    with pytest.raises(ValueError, match=r"missing \['k', 'n'\]"):
+        GenSpec(family="generalized-petersen")
+    with pytest.raises(ValueError, match="missing"):
+        GenSpec(family="random-regular", n=8, r=3)
+    with pytest.raises(ValueError, match="unknown graph family"):
+        GenSpec(family="torus", n=5)
 
 
 def test_splitmix64_reference_vector():
@@ -233,7 +273,7 @@ def test_gen_output_pinned(capsys):
     specs = ["random-regular:n=30,r=3", "random-regular:n=60,r=4",
              "random-regular:n=31,r=4", "random-regular:n=12,r=5",
              "random-regular:n=128,r=3"]
-    assert cli.main(["gen", *specs, "--seeds", "1..150"]) == 0
+    assert cli.main(["gen", *(f"{spec},seed=1..150" for spec in specs)]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 750
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (

@@ -15,8 +15,8 @@ from eds_audit.records import json_line
 from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
-    STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, TraceEvent, decide_eds,
-    drop_witness, probe, reduce_to_fixpoint, work_budget,
+    STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, TraceEvent, decide_eds, probe,
+    reduce_to_fixpoint, work_budget,
 )
 from eds_audit.rng import rank_permutation
 
@@ -43,24 +43,24 @@ class TestDropWitness:
     def test_c4_drops_with_witness_2(self, c4):
         # N(0)={1,3}, N(2)={1,3}: nothing outside N(0) can dominate 2
         assert droppable_by_bruteforce(c4, everything(c4), 0) == [2]
-        assert drop_witness(c4, everything(c4), 0) == 2
+        assert reference_drop_witness(c4, everything(c4), 0) == 2
 
     def test_c6_not_droppable(self, c6):
         assert droppable_by_bruteforce(c6, everything(c6), 0) == []
-        assert drop_witness(c6, everything(c6), 0) is None
+        assert reference_drop_witness(c6, everything(c6), 0) is None
 
     def test_complete_graph_guard(self, k4):
         # no vertex at distance 2 exists, so the rule never applies
-        assert drop_witness(k4, everything(k4), 0) is None
+        assert reference_drop_witness(k4, everything(k4), 0) is None
 
     def test_requires_membership(self, c6):
         with pytest.raises(ValueError, match="not in the candidate set"):
-            drop_witness(c6, frozenset({1, 2}), 0)
+            reference_drop_witness(c6, frozenset({1, 2}), 0)
 
     def test_smallest_witness_chosen(self):
         # star-like graph where several distance-2 witnesses qualify
         g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert drop_witness(g, everything(g), 0) == min(
+        assert reference_drop_witness(g, everything(g), 0) == min(
             droppable_by_bruteforce(g, everything(g), 0))
 
     def test_matches_bruteforce_on_corpus(self):
@@ -69,7 +69,7 @@ class TestDropWitness:
         for g in graphs:
             for v in range(g.n):
                 expected = droppable_by_bruteforce(g, everything(g), v)
-                got = drop_witness(g, everything(g), v)
+                got = reference_drop_witness(g, everything(g), v)
                 assert got == (min(expected) if expected else None)
 
 
@@ -117,8 +117,8 @@ def test_droppability_is_monotone(case, data):
     g, a = case
     b = data.draw(st.sets(st.sampled_from(sorted(a))) if a else st.just(set()))
     for v in sorted(b):
-        if drop_witness(g, a, v) is not None:
-            assert drop_witness(g, frozenset(b), v) is not None, (g, a, b, v)
+        if reference_drop_witness(g, a, v) is not None:
+            assert reference_drop_witness(g, frozenset(b), v) is not None, (g, a, b, v)
 
 
 @given(graph_and_set(max_n=12))
@@ -313,7 +313,7 @@ class TestSoundness:
                 supersets = [everything(g), s | frozenset(range(0, g.n, 2))]
                 for sup in supersets:
                     for v in sorted(s):
-                        assert drop_witness(g, sup | s, v) is None, (g, s, v)
+                        assert reference_drop_witness(g, sup | s, v) is None, (g, s, v)
 
     def test_reduction_preserves_all_solutions(self):
         for g in self.corpus():
@@ -349,9 +349,10 @@ class TestSoundness:
                     assert anchor in res.survivors
 
 
-# Reference rescan reduction: the original drop_witness and _reduce, which
-# build N(c) - N(v) per test and re-sort the candidates after every drop.
-# The table-driven _reduce must reproduce its tests, drops and witnesses.
+# Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
+# per test, and a _reduce that re-sorts the candidates after every drop.
+# The table-driven _reduce must reproduce its tests, drops and witnesses;
+# the drop-rule tests above state the rule on the same reference.
 
 
 def reference_drop_witness(g, candidates, v):
