@@ -10,7 +10,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -70,32 +70,75 @@ class Graph:
     @cached_property
     def second_lists(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex sorted lists of vertices at distance exactly 2."""
+        adj = self.adj
         out = []
-        for v in range(self.n):
-            reach: set[int] = set()
-            for u in self.adj[v]:
-                reach |= self.adj[u]
-            reach -= self.closed_adj[v]
-            out.append(tuple(sorted(reach)))
+        for v, nbrs in enumerate(adj):
+            far: set[int] = set()
+            for u in nbrs:
+                far |= adj[u]
+            far -= nbrs
+            far.discard(v)
+            out.append(tuple(sorted(far)))
         return tuple(out)
 
     @cached_property
-    def drop_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    def drop_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex drop-filter table: for each v, the pairs
-        (c, N(c) - N(v)) for every c at distance exactly 2, in ascending c.
+        (c, bitmask of N(c) - N(v)) for every c at distance exactly 2, in
+        ascending c.  Bit u of a mask stands for vertex u.
 
-        v is droppable from a candidate set A exactly when some row's second
-        entry is disjoint from A.  Tuples rather than frozensets keep the
-        table small on dense graphs.
+        v is droppable from a candidate set A exactly when some row's mask
+        is disjoint from the mask of A.
         """
-        adj = self.adj
-        return tuple(
-            tuple((c, tuple(adj[c] - adj[v])) for c in self.second_lists[v])
-            for v in range(self.n))
+        return self.ranked_drop_rows(_identity_bits(self.n))
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """Per-vertex bitmask ``reach[x]`` of the vertices at distance
+        exactly 2 from a neighbor of x.  It holds every v with a
+        ``drop_rows`` mask that contains x, so deleting x from a candidate
+        set can make droppable only vertices in ``reach[x]``.
+        """
+        return self.ranked_reach(_identity_bits(self.n))
+
+    @cached_property
+    def scan_tables(self) -> dict:
+        """The reduction's tables, one entry per scan order run on this
+        graph (None: ascending id), filled on first use by ``reduction``."""
+        return {}
+
+    def ranked_drop_rows(self, bit: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``drop_rows`` with vertex u as the bit ``bit[u]`` of every mask;
+        the rows stay in ascending c."""
+        nbr = _masks(self.adj, bit)
+        out = []
+        for v, far in enumerate(self.second_lists):
+            outside = ~nbr[v]
+            out.append(tuple([(c, nbr[c] & outside) for c in far]))
+        return tuple(out)
+
+    def ranked_reach(self, bit: Sequence[int]) -> tuple[int, ...]:
+        """``reach`` with vertex u as the bit ``bit[u]`` of every mask."""
+        return tuple(_masks(self.adj, _masks(self.second_lists, bit)))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")
+
+
+def _identity_bits(n: int) -> tuple[int, ...]:
+    return tuple(map((1).__lshift__, range(n)))
+
+
+def _masks(sets: Iterable[Iterable[int]], bit: Sequence[int]) -> list[int]:
+    """The OR of ``bit[u]`` over each set's members, one mask per set."""
+    out = []
+    for members in sets:
+        m = 0
+        for u in members:
+            m |= bit[u]
+        out.append(m)
+    return out
 
 
 def is_regular(g: Graph) -> int | None:

@@ -26,7 +26,8 @@ disagreement or as an explicit Discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .eds import EdsCertificate, verify_eds
 from .graph import Graph, VertexSet, is_connected, is_regular
@@ -49,9 +50,11 @@ REASON_ALL_PROBES_EMPTY = "all-probes-empty"
 REASON_EXHAUSTED = "candidates-exhausted"
 REASON_NOT_EDS = "final-set-not-EDS"
 
-# Work bound: one unit per droppability test.  A fixpoint reduction costs at
-# most n*(n+1) <= 2n^2 tests (n drops, full rescan after each); decide runs
-# at most n+1 probes per commit and at most n commits, so 4*n^4 dominates.
+# Work bound: one unit per droppability test of the rescan-from-front cost
+# model, which _reduce computes exactly from its drop positions while testing
+# only stale vertices.  A fixpoint reduction costs at most n*(n+1) <= 2n^2
+# tests (n drops, full rescan after each); decide runs at most n+1 probes per
+# commit and at most n commits, so 4*n^4 dominates.
 WORK_BUDGET_COEFF = 4
 
 
@@ -85,7 +88,12 @@ class TraceEvent:
 @dataclass(frozen=True)
 class ProbeResult:
     """Outcome of probing one anchor: the reduced candidate set, drop log and
-    droppability-test count."""
+    droppability-test count.
+
+    ``tests`` is the rescan-from-front cost model: the tests a loop that
+    rescans from the front after every drop would make, computed exactly
+    from the drop positions.  The kernel itself tests only stale vertices.
+    """
 
     anchor: int
     survivors: frozenset[int]
@@ -99,7 +107,9 @@ class Decision:
 
     ``certificate`` is set for 'found' (always verified), ``reason`` for
     'none-exists' and 'discrepancy', ``final_set`` for 'discrepancy'.
-    ``work_counter`` counts droppability tests across the whole run.
+    ``work_counter`` counts droppability tests across the whole run in the
+    rescan-from-front cost model (see ``ProbeResult.tests``): the initial
+    reduction's count plus ``tests`` of every probe, rejected ones included.
     """
 
     verdict: str
@@ -117,42 +127,82 @@ class Decision:
         return [e.to_json_dict() for e in self.trace]
 
 
-def _reduce(g: Graph, current: set[int], order: Sequence[int] | None, stage: str,
-            events: list[TraceEvent]) -> int:
-    """Drop filter to fixpoint on ``current`` in place, rescanning from the
-    front after each drop; returns the number of droppability tests.
-
-    A test of v looks for the first row (c, N(c) - N(v)) of ``g.drop_rows[v]``
-    disjoint from ``current``; its c is the witness.  A drop keeps the
-    relative order of the rest of the scan, so the candidates are sorted only
-    once.
+def _tables(g: Graph, key: tuple[int, ...] | None):
+    """Build and keep the kernel's tables for scanning ``g`` in scan order
+    ``key`` (None: ascending id): the scan-rank bit of each vertex, the
+    vertex of each scan rank, and ``g.drop_rows`` and ``g.reach`` over
+    scan-rank bits.  The rows stay in ascending c, so witnesses do not move.
     """
-    rows = g.drop_rows
-    scan = sorted(current, key=None if order is None else order.__getitem__)
+    if key is not None and sorted(key) != list(range(g.n)):
+        raise ValueError(f"scan order is not a permutation of range({g.n})")
+    rank = range(g.n) if key is None else key
+    bit = tuple(map((1).__lshift__, rank))
+    if key is None:
+        tables = bit, rank, g.drop_rows, g.reach
+    else:
+        vertex = sorted(range(g.n), key=key.__getitem__)
+        tables = bit, vertex, g.ranked_drop_rows(bit), g.ranked_reach(bit)
+    g.scan_tables[key] = tables
+    return tables
+
+
+def _reduce(g: Graph, current: set[int], deleted: Iterable[int] | None,
+            order: Sequence[int] | None, stage: str, events: list[TraceEvent]) -> int:
+    """Drop filter to fixpoint on ``current`` in place; returns the number
+    of droppability tests a rescan from the front after every drop makes.
+
+    ``deleted`` is None when ``current`` is an arbitrary candidate set.
+    Otherwise ``current`` is a fixpoint less the vertices in ``deleted``.
+
+    The candidates are a bitmask ``cur`` over scan ranks.  Only vertices in
+    ``stale`` can be droppable: all of ``cur``, or the ones whose rows meet
+    ``deleted``.  The loop tests the lowest stale vertex v against its rows
+    (c, N(c) - N(v)) in ascending c; a drop logs the first row disjoint from
+    ``cur`` as the witness and makes stale the candidates whose rows hold v.
+    Droppability is monotone (``reduce_to_fixpoint``), so a vertex outside
+    ``stale`` stays undroppable, and the lowest stale droppable vertex is
+    the rescan's next drop, with the same witness.  The rescan tests every
+    candidate ranked before that drop, and at the fixpoint every candidate:
+    the count is computed from those positions.
+    """
+    key = None if order is None else tuple(order)
+    bit, vertex, rows, reach = g.scan_tables.get(key) or _tables(g, key)
+    cur = 0
+    for v in current:
+        cur |= bit[v]
+    if deleted is None:
+        stale = cur
+    else:
+        stale = 0
+        for x in deleted:
+            stale |= reach[x]
+        stale &= cur
+    logged = len(events)
     tests = 0
-    p = 0
-    while p < len(scan):
-        v = scan[p]
-        tests += 1
+    while stale:
+        low = stale & -stale
+        v = vertex[low.bit_length() - 1]
         for c, outside in rows[v]:
-            if current.isdisjoint(outside):
+            if not outside & cur:
+                cur ^= low
+                tests += (cur & (low - 1)).bit_count()
                 current.discard(v)
                 events.append(TraceEvent(KIND_DROP, v, c, stage))
-                del scan[p]
-                p = 0
+                stale |= reach[v] & cur
                 break
-        else:
-            p += 1
-    return tests
+        stale ^= low
+    # each drop also tests the dropped vertex itself
+    return tests + len(events) - logged + cur.bit_count()
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None
                        ) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
     """Apply the drop filter until no vertex of ``a`` qualifies.
 
-    Returns the fixed point and the ordered drop log.  ``order`` ranks
-    vertices for the scan (default: ascending id); it changes the drop log,
-    never the fixed point.
+    Returns the fixed point and the ordered drop log.  ``order`` is a
+    permutation of the vertex ids that ranks them for the scan, ``order[v]``
+    being v's rank (default: ascending id); it changes the drop log, never
+    the fixed point.
 
     Proof.  Droppability is monotone: v is droppable in A when some row
     N(c) - N(v) of v is disjoint from A, and a row disjoint from A is
@@ -168,7 +218,7 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
         g._check_vertex(v)
     final = set(a)
     events: list[TraceEvent] = []
-    _reduce(g, final, order, STAGE_INITIAL, events)
+    _reduce(g, final, None, order, STAGE_INITIAL, events)
     return frozenset(final), tuple(events)
 
 
@@ -177,6 +227,11 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = 
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
     reduce to a fixpoint.
 
+    ``a`` must be a fixpoint of the drop filter, such as ``decide_eds``'s
+    current set or the result of ``reduce_to_fixpoint``: only the vertices
+    whose rows meet the deleted ball are tested, so a droppable vertex of
+    ``a`` elsewhere would survive.
+
     Empty survivors certify the anchor belongs to no efficient dominating set
     contained in ``a`` (sound); nonempty survivors decide nothing by
     themselves.
@@ -184,14 +239,15 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = 
     if anchor not in a:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
     g._check_vertex(anchor)
-    # _reduce indexes g.drop_rows without checks, so reject stray ids here
+    # _reduce indexes its tables without checks, so reject stray ids here
     g._check_vertex(min(a))
     g._check_vertex(max(a))
+    near, far = g.adj[anchor], g.second_lists[anchor]
     current = set(a)
-    current -= g.adj[anchor]
-    current.difference_update(g.second_lists[anchor])
+    current -= near
+    current.difference_update(far)
     events: list[TraceEvent] = []
-    tests = _reduce(g, current, order, stage, events)
+    tests = _reduce(g, current, chain(near, far), order, stage, events)
     return ProbeResult(anchor, frozenset(current), tuple(events), tests)
 
 
@@ -215,7 +271,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     trace: list[TraceEvent] = []
 
     current = set(range(g.n))
-    work = _reduce(g, current, order, STAGE_INITIAL, trace)
+    work = _reduce(g, current, None, order, STAGE_INITIAL, trace)
     if not current:
         return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, None,
                         tuple(trace), work)

@@ -360,10 +360,10 @@ def audit_c6() -> tuple[str, None, Graph]:
 
 
 def test_audit_reports_a_filter_that_drops_a_solution_vertex():
-    # a broken drop rule: an always-disjoint row (2, ()) first in vertex 0's rows
+    # a broken drop rule: an always-disjoint row (2, 0) first in vertex 0's rows
     item = audit_c6()
     g = item[2]
-    vars(g)["drop_rows"] = (((2, ()),) + g.drop_rows[0],) + g.drop_rows[1:]
+    vars(g)["drop_rows"] = (((2, 0),) + g.drop_rows[0],) + g.drop_rows[1:]
     row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
     assert {"vertex": 0, "witness": 2} in row["filter_soundness_violations"]

@@ -51,6 +51,19 @@ def test_second_neighborhood_matches_bfs_everywhere(pet, q3, c6):
             assert g.second_lists[v] == tuple(u for u in range(g.n) if dist[u] == 2)
 
 
+def test_drop_tables_match_their_definitions(c6, k4, q3, pet):
+    for g in (c6, k4, q3, pet, path(7), two_triangles(), complete(5)):
+        for v in range(g.n):
+            assert tuple(c for c, _ in g.drop_rows[v]) == g.second_lists[v]
+            for c, mask in g.drop_rows[v]:
+                assert mask == sum(1 << u for u in g.adj[c] - g.adj[v]), (g, v, c)
+        for x in range(g.n):
+            # reach[x] holds every vertex with a row that contains x
+            for v in range(g.n):
+                if any(mask >> x & 1 for _, mask in g.drop_rows[v]):
+                    assert g.reach[x] >> v & 1, (g, x, v)
+
+
 def test_is_regular():
     assert is_regular(cycle(6)) == 2
     assert is_regular(path(3)) is None

@@ -350,9 +350,10 @@ class TestSoundness:
 
 
 # Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
-# per test, and a _reduce that re-sorts the candidates after every drop.
-# The table-driven _reduce must reproduce its tests, drops and witnesses;
-# the drop-rule tests above state the rule on the same reference.
+# per test, and a _reduce that re-sorts the candidates after every drop and
+# tests every candidate, so it ignores ``deleted``.  The bitmask _reduce,
+# which tests only stale vertices, must reproduce its tests, drops and
+# witnesses; the drop-rule tests above state the rule on the same reference.
 
 
 def reference_drop_witness(g, candidates, v):
@@ -366,7 +367,7 @@ def reference_drop_witness(g, candidates, v):
     return None
 
 
-def reference_reduce(g, current, order, stage, events):
+def reference_reduce(g, current, deleted, order, stage, events):
     key = None if order is None else order.__getitem__
     tests = 0
     while True:
@@ -405,6 +406,26 @@ def test_fixpoint_and_probe_trace_identity(identity_corpus):
         for anchor in sorted(baseline):
             got = probe(g, baseline, anchor)
             assert got == on_reference(probe, g, baseline, anchor), (g, anchor)
+
+
+@given(graph_and_set(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_on_arbitrary_graphs(case):
+    # irregular and disconnected graphs, arbitrary candidate sets, and the
+    # seeded probe path: set, drop log with witnesses, and test count
+    g, a = case
+    for order in (None, rank_permutation(g.n, 1)):
+        got, got_events = set(a), []
+        want, want_events = set(a), []
+        got_tests = reduction._reduce(g, got, None, order, STAGE_INITIAL, got_events)
+        want_tests = reference_reduce(g, want, None, order, STAGE_INITIAL, want_events)
+        assert (got, got_events, got_tests) == (want, want_events, want_tests), (g, a, order)
+        fixpoint = frozenset(got)
+        assert reduce_to_fixpoint(g, a, order=order) == (fixpoint, tuple(got_events))
+        for base in (fixpoint, reduce_to_fixpoint(g, everything(g), order=order)[0]):
+            for anchor in sorted(base):
+                assert probe(g, base, anchor, order=order) == \
+                    on_reference(probe, g, base, anchor, order=order), (g, base, anchor, order)
 
 
 def test_decide_trace_identity(identity_corpus):
@@ -481,6 +502,12 @@ def test_known_findings_pinned(source):
 def test_ladder_work_counts_pinned(spec, tests):
     # droppability tests of the rescan reduction on the large ladder graphs
     assert decide_eds(parse_genspec(spec).build()).work_counter == tests
+
+
+def test_scan_order_must_be_a_permutation(c6):
+    for order in ([0] * 6, [0, 1, 2, 3, 4, 6], [0, 1, 2], [-1, 0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="permutation"):
+            reduce_to_fixpoint(c6, everything(c6), order=order)
 
 
 def test_probe_rejects_out_of_range_candidates(c6):
