@@ -10,7 +10,7 @@ from .graph import (
     Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_edge_list,
     parse_graph6,
 )
-from .oracle import OracleReport, solve_exact, solve_naive
+from .oracle import OracleReport, solve_exact
 from .reduction import (
     Decision, ProbeResult, TraceEvent, decide_eds, probe,
     reduce_to_fixpoint, work_budget,
@@ -25,5 +25,5 @@ __all__ = [
     "gen_cycle", "gen_hypercube", "gen_petersen", "gen_random_regular",
     "is_connected", "is_regular", "parse_edge_list", "parse_genspec",
     "parse_genspecs", "parse_graph6", "probe", "reduce_to_fixpoint",
-    "solve_exact", "solve_naive", "verify_eds", "work_budget",
+    "solve_exact", "verify_eds", "work_budget",
 ]

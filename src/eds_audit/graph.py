@@ -1,7 +1,8 @@
 """Immutable simple undirected graphs with neighborhood queries and graph6 / edge-list I/O.
 
-Vertices are dense 0-based ids.  Candidate sets everywhere in this package are
-plain ``frozenset``/``set`` objects over those ids (the ``VertexSet`` alias).
+Vertices are dense 0-based ids.  Candidate sets in the public API are
+``frozenset`` objects over those ids (the ``VertexSet`` alias); the reduction
+carries them internally as bitmasks over its own tables.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -82,89 +83,45 @@ class Graph:
         return tuple(out)
 
     @cached_property
-    def drop_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex drop-filter table: for each v, the pairs
-        (c, bitmask of N(c) - N(v)) for every c at distance exactly 2, in
-        ascending c.  Bit u of a mask stands for vertex u.
-
-        v is droppable from a candidate set A exactly when some row's mask
-        is disjoint from the mask of A.
-        """
-        return self.ranked_drop_rows(_identity_bits(self.n))
-
-    @cached_property
-    def reach(self) -> tuple[int, ...]:
-        """Per-vertex bitmask ``reach[x]`` of the vertices at distance
-        exactly 2 from a neighbor of x.  It holds every v with a
-        ``drop_rows`` mask that contains x, so deleting x from a candidate
-        set can make droppable only vertices in ``reach[x]``.
-        """
-        return self.ranked_reach(_identity_bits(self.n))
-
-    @cached_property
     def scan_tables(self) -> dict:
         """The reduction's tables, one entry per scan order run on this
         graph (None: ascending id), filled on first use by ``reduction``."""
         return {}
 
-    def ranked_drop_rows(self, bit: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``drop_rows`` with vertex u as the bit ``bit[u]`` of every mask;
-        the rows stay in ascending c."""
-        nbr = _masks(self.adj, bit)
-        out = []
-        for v, far in enumerate(self.second_lists):
-            outside = ~nbr[v]
-            out.append(tuple([(c, nbr[c] & outside) for c in far]))
-        return tuple(out)
+    # the answers of is_regular and is_connected, computed once per graph
+    @cached_property
+    def _degree(self) -> int | None:
+        degrees = set(map(len, self.adj))
+        return degrees.pop() if len(degrees) == 1 else None
 
-    def ranked_reach(self, bit: Sequence[int]) -> tuple[int, ...]:
-        """``reach`` with vertex u as the bit ``bit[u]`` of every mask."""
-        return tuple(_masks(self.adj, _masks(self.second_lists, bit)))
+    @cached_property
+    def _connected(self) -> bool:
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for u in self.adj[queue.popleft()]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        return len(seen) == self.n
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")
 
 
-def _identity_bits(n: int) -> tuple[int, ...]:
-    return tuple(map((1).__lshift__, range(n)))
-
-
-def _masks(sets: Iterable[Iterable[int]], bit: Sequence[int]) -> list[int]:
-    """The OR of ``bit[u]`` over each set's members, one mask per set."""
-    out = []
-    for members in sets:
-        m = 0
-        for u in members:
-            m |= bit[u]
-        out.append(m)
-    return out
-
-
 def is_regular(g: Graph) -> int | None:
     """Return the common degree if every vertex has it, else None."""
     if g.n == 0:
         raise ValueError("regularity is undefined for the empty graph")
-    r = len(g.adj[0])
-    for nbrs in g.adj:
-        if len(nbrs) != r:
-            return None
-    return r
+    return g._degree
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex."""
     if g.n == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    return g._connected
 
 
 # graph6: byte = 63 + 6-bit group; upper adjacency triangle column-major,

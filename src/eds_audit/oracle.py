@@ -1,4 +1,4 @@
-"""Independent exact solvers for efficient domination, used as ground truth.
+"""Independent exact solver for efficient domination, used as ground truth.
 
 Shares nothing with the reduction module beyond the graph type and
 verification semantics, so the cross-check stays meaningful.
@@ -13,7 +13,6 @@ from .errors import CapacityError
 from .graph import Graph, is_regular
 
 DEFAULT_MAX_N = 128
-NAIVE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ def _conflict_masks(g: Graph, masks: list[int]) -> list[int]:
     return conflict
 
 
-def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None,
-                use_size_bound: bool = True) -> OracleReport:
+def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None
+                ) -> OracleReport:
     """Exact-cover backtracking over closed neighborhoods.
 
     Picks the uncovered vertex with the fewest remaining covers (ties to the
@@ -73,11 +72,10 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
     if g.n > cap:
         raise CapacityError(f"n={g.n} exceeds the oracle size guard {cap}")
 
-    if use_size_bound:
-        r = is_regular(g)
-        if r is not None and g.n % (r + 1):
-            # divisibility failure alone proves no EDS exists
-            return OracleReport(False, (), 0)
+    r = is_regular(g)
+    if r is not None and g.n % (r + 1):
+        # divisibility failure alone proves no EDS exists
+        return OracleReport(False, (), 0)
 
     masks = _closed_masks(g)
     conflict = _conflict_masks(g, masks)
@@ -129,37 +127,6 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
 
     solutions = _sorted_solutions(found)
     return OracleReport(bool(solutions), solutions, nodes)
-
-
-def solve_naive(g: Graph) -> OracleReport:
-    """Test all 2^n subsets; the oracle's own ground truth at tiny sizes.
-
-    A subset qualifies exactly when the closed neighborhoods of its members
-    are pairwise disjoint and cover every vertex (the partition
-    characterization verify_eds implements).
-    """
-    if g.n == 0:
-        raise ValueError("oracle requires a nonempty graph")
-    if g.n > NAIVE_MAX_N:
-        raise CapacityError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
-    masks = _closed_masks(g)
-    full = (1 << g.n) - 1
-    found = []
-    for bits in range(1 << g.n):
-        acc = 0
-        rest = bits
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            m = masks[v]
-            if acc & m:
-                break
-            acc |= m
-        else:
-            if acc == full:
-                found.append(frozenset(_bits_to_ids(bits)))
-    solutions = _sorted_solutions(found)
-    return OracleReport(bool(solutions), solutions, 1 << g.n)
 
 
 def _bits_to_ids(bits: int) -> list[int]:

@@ -75,33 +75,6 @@ def _row_dict(kind: str, record) -> dict:
     return doc
 
 
-_ROW_TYPES = {KIND_RECORD: CompareRecord, KIND_SKIP: SkipRecord}
-
-
-def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
-    """Parse and validate one harness JSONL row.
-
-    Compare and skip rows come back as dataclasses; audit and summary rows as
-    validated dicts.  Raises ValueError on anything malformed.
-    """
-    doc = json.loads(line)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("row is not an object with a 'kind' field")
-    kind = doc["kind"]
-    cls = _ROW_TYPES.get(kind)
-    if cls is not None:
-        names = [f.name for f in fields(cls)]
-        if set(doc) != {"kind", *names}:
-            raise ValueError(f"{kind} row has wrong fields: {sorted(doc)}")
-        values = {name: doc[name] for name in names}
-        if "claim_audit_flags" in values:
-            values["claim_audit_flags"] = tuple(values["claim_audit_flags"])
-        return cls(**values)
-    if kind in (KIND_AUDIT, KIND_SUMMARY):
-        return doc
-    raise ValueError(f"unknown row kind {kind!r}")
-
-
 def decide_report_doc(graph6: str, decision: Decision, *, include_trace: bool = False) -> dict:
     """The JSON document cmd-decide prints for one graph (timing-free so
     replays can compare bytes)."""

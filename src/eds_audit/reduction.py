@@ -26,8 +26,7 @@ disagreement or as an explicit Discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds
 from .graph import Graph, VertexSet, is_connected, is_regular
@@ -64,8 +63,7 @@ def work_budget(n: int) -> int:
     return WORK_BUDGET_COEFF * n**4
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One step of a decision run.
 
     kind 'drop': ``vertex`` left the candidate set, ``witness`` is the
@@ -81,8 +79,7 @@ class TraceEvent:
     stage: str
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "vertex": self.vertex,
-                "witness": self.witness, "stage": self.stage}
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -127,37 +124,73 @@ class Decision:
         return [e.to_json_dict() for e in self.trace]
 
 
-def _tables(g: Graph, key: tuple[int, ...] | None):
-    """Build and keep the kernel's tables for scanning ``g`` in scan order
-    ``key`` (None: ascending id): the scan-rank bit of each vertex, the
-    vertex of each scan rank, and ``g.drop_rows`` and ``g.reach`` over
-    scan-rank bits.  The rows stay in ascending c, so witnesses do not move.
+class _Scan(NamedTuple):
+    """The kernel's tables for one scan order, with every mask over scan
+    ranks: vertex u is bit ``bit[u]``, rank i holds ``vertex[i]``.
+    ``rows[v]``: (c, mask of N(c) - N(v)) for each c at distance exactly 2,
+    in ascending c.  ``reach[x]``: every v with a row that holds x.
+    ``nbr[a]``: N(a).  ``ball[a]``: N(a) and the distance-2 vertices of a.
     """
-    if key is not None and sorted(key) != list(range(g.n)):
+
+    bit: tuple[int, ...]
+    vertex: Sequence[int]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    reach: tuple[int, ...]
+    nbr: tuple[int, ...]
+    ball: tuple[int, ...]
+
+
+def _union(masks: Sequence[int], members: Iterable[int]) -> int:
+    """The OR of ``masks[u]`` over ``members``."""
+    m = 0
+    for u in members:
+        m |= masks[u]
+    return m
+
+
+def _scan(g: Graph, order: Sequence[int] | None) -> _Scan:
+    """The tables for scanning ``g`` in ``order`` (``order[v]`` is v's
+    rank; None: ascending id), built on first use and kept in
+    ``g.scan_tables``."""
+    key = None if order is None else tuple(order)
+    t = g.scan_tables.get(key)
+    if t is not None:
+        return t
+    rank = range(g.n) if order is None else key
+    if sorted(rank) != list(range(g.n)):
         raise ValueError(f"scan order is not a permutation of range({g.n})")
-    rank = range(g.n) if key is None else key
     bit = tuple(map((1).__lshift__, rank))
-    if key is None:
-        tables = bit, rank, g.drop_rows, g.reach
-    else:
-        vertex = sorted(range(g.n), key=key.__getitem__)
-        tables = bit, vertex, g.ranked_drop_rows(bit), g.ranked_reach(bit)
-    g.scan_tables[key] = tables
-    return tables
+    nbr = [_union(bit, s) for s in g.adj]
+    far = [_union(bit, s) for s in g.second_lists]
+    rows = tuple([tuple([(c, nbr[c] & ~nbr[v]) for c in cs])
+                  for v, cs in enumerate(g.second_lists)])
+    t = _Scan(bit, sorted(range(g.n), key=rank.__getitem__), rows,
+              tuple([_union(far, s) for s in g.adj]), tuple(nbr),
+              tuple(map(int.__or__, nbr, far)))
+    g.scan_tables[key] = t
+    return t
 
 
-def _reduce(g: Graph, current: set[int], deleted: Iterable[int] | None,
-            order: Sequence[int] | None, stage: str, events: list[TraceEvent]) -> int:
-    """Drop filter to fixpoint on ``current`` in place; returns the number
-    of droppability tests a rescan from the front after every drop makes.
+def _members(t: _Scan, cur: int) -> frozenset[int]:
+    """The vertices of the rank mask ``cur``."""
+    out = []
+    while cur:
+        low = cur & -cur
+        out.append(t.vertex[low.bit_length() - 1])
+        cur ^= low
+    return frozenset(out)
 
-    ``deleted`` is None when ``current`` is an arbitrary candidate set.
-    Otherwise ``current`` is a fixpoint less the vertices in ``deleted``.
 
-    The candidates are a bitmask ``cur`` over scan ranks.  Only vertices in
-    ``stale`` can be droppable: all of ``cur``, or the ones whose rows meet
-    ``deleted``.  The loop tests the lowest stale vertex v against its rows
-    (c, N(c) - N(v)) in ascending c; a drop logs the first row disjoint from
+def _reduce(t: _Scan, cur: int, stale: int, stage: str,
+            events: list[TraceEvent]) -> tuple[int, int]:
+    """Drop filter to fixpoint on the candidate mask ``cur``; returns the
+    fixpoint and the number of droppability tests a rescan from the front
+    after every drop makes.
+
+    Only the vertices in ``stale`` can be droppable: all of ``cur``, or,
+    when ``cur`` is a fixpoint less some deleted vertices, the ones whose
+    rows meet the deleted ones.  The loop tests the lowest stale vertex v
+    against its rows in ascending c; a drop logs the first row disjoint from
     ``cur`` as the witness and makes stale the candidates whose rows hold v.
     Droppability is monotone (``reduce_to_fixpoint``), so a vertex outside
     ``stale`` stays undroppable, and the lowest stale droppable vertex is
@@ -165,18 +198,8 @@ def _reduce(g: Graph, current: set[int], deleted: Iterable[int] | None,
     candidate ranked before that drop, and at the fixpoint every candidate:
     the count is computed from those positions.
     """
-    key = None if order is None else tuple(order)
-    bit, vertex, rows, reach = g.scan_tables.get(key) or _tables(g, key)
-    cur = 0
-    for v in current:
-        cur |= bit[v]
-    if deleted is None:
-        stale = cur
-    else:
-        stale = 0
-        for x in deleted:
-            stale |= reach[x]
-        stale &= cur
+    vertex, rows, reach = t.vertex, t.rows, t.reach
+    stale &= cur
     logged = len(events)
     tests = 0
     while stale:
@@ -186,13 +209,20 @@ def _reduce(g: Graph, current: set[int], deleted: Iterable[int] | None,
             if not outside & cur:
                 cur ^= low
                 tests += (cur & (low - 1)).bit_count()
-                current.discard(v)
                 events.append(TraceEvent(KIND_DROP, v, c, stage))
                 stale |= reach[v] & cur
                 break
         stale ^= low
     # each drop also tests the dropped vertex itself
-    return tests + len(events) - logged + cur.bit_count()
+    return cur, tests + len(events) - logged + cur.bit_count()
+
+
+def _probe(g: Graph, t: _Scan, cur: int, anchor: int, stage: str,
+           events: list[TraceEvent]) -> tuple[int, int]:
+    """Delete ``ball[anchor]`` from the fixpoint ``cur`` and reduce; only
+    the vertices whose rows meet the ball are stale."""
+    stale = _union(t.reach, g.adj[anchor]) | _union(t.reach, g.second_lists[anchor])
+    return _reduce(t, cur & ~t.ball[anchor], stale, stage, events)
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None
@@ -216,14 +246,15 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
     """
     for v in a:
         g._check_vertex(v)
-    final = set(a)
+    t = _scan(g, order)
+    cur = _union(t.bit, a)
     events: list[TraceEvent] = []
-    _reduce(g, final, None, order, STAGE_INITIAL, events)
-    return frozenset(final), tuple(events)
+    cur, _ = _reduce(t, cur, cur, STAGE_INITIAL, events)
+    return _members(t, cur), tuple(events)
 
 
-def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = None,
-          stage: str = STAGE_PROBE) -> ProbeResult:
+def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = None
+          ) -> ProbeResult:
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
     reduce to a fixpoint.
 
@@ -239,16 +270,13 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = 
     if anchor not in a:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
     g._check_vertex(anchor)
-    # _reduce indexes its tables without checks, so reject stray ids here
+    # the kernel indexes its tables without checks, so reject stray ids here
     g._check_vertex(min(a))
     g._check_vertex(max(a))
-    near, far = g.adj[anchor], g.second_lists[anchor]
-    current = set(a)
-    current -= near
-    current.difference_update(far)
+    t = _scan(g, order)
     events: list[TraceEvent] = []
-    tests = _reduce(g, current, chain(near, far), order, stage, events)
-    return ProbeResult(anchor, frozenset(current), tuple(events), tests)
+    cur, tests = _probe(g, t, _union(t.bit, a), anchor, STAGE_PROBE, events)
+    return ProbeResult(anchor, _members(t, cur), tuple(events), tests)
 
 
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
@@ -260,6 +288,9 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     connected and regular.  'found' verdicts carry a verified certificate; a
     final set failing verification comes back as 'discrepancy', never as a
     silent 'found'.
+
+    The candidates and the committed anchors are masks over scan ranks, so
+    the lowest uncommitted bit is the next anchor in scan order.
     """
     if is_regular(g) is None:
         raise ValueError("decision procedure requires a regular graph")
@@ -267,34 +298,39 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
         raise ValueError("decision procedure requires a connected graph")
 
     order = None if drop_order_seed is None else rank_permutation(g.n, drop_order_seed)
-    key = None if order is None else order.__getitem__
+    t = _scan(g, order)
     trace: list[TraceEvent] = []
-
-    current = set(range(g.n))
-    work = _reduce(g, current, None, order, STAGE_INITIAL, trace)
-    if not current:
+    everything = (1 << g.n) - 1
+    cur, work = _reduce(t, everything, everything, STAGE_INITIAL, trace)
+    if not cur:
         return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, None,
                         tuple(trace), work)
 
-    committed: set[int] = set()
-    while uncommitted := current - committed:
-        a = min(uncommitted, key=key)
-        # N(a) & current ranks after a: earlier vertices are anchors, whose probes removed N(anchor)
-        for cand in [a, *sorted(g.adj[a] & current, key=key)]:
-            result = probe(g, current, cand, order=order, stage=STAGE_MAIN)
-            work += result.tests
-            if result.survivors:
+    committed = 0
+    while uncommitted := cur & ~committed:
+        first = uncommitted & -uncommitted
+        # then N(first) & cur, which ranks after first: earlier vertices of
+        # cur are anchors, whose probes removed N(anchor)
+        cands = first | t.nbr[t.vertex[first.bit_length() - 1]] & cur
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            cand = t.vertex[low.bit_length() - 1]
+            drops: list[TraceEvent] = []
+            survivors, tests = _probe(g, t, cur, cand, STAGE_MAIN, drops)
+            work += tests
+            if survivors:
                 break
             trace.append(TraceEvent(KIND_PROBE_EMPTY, cand, None, STAGE_MAIN))
         else:
             reason = REASON_EXHAUSTED if committed else REASON_ALL_PROBES_EMPTY
             return Decision(VERDICT_NONE, None, reason, None, tuple(trace), work)
-        trace.append(TraceEvent(KIND_COMMIT, result.anchor, None, STAGE_MAIN))
-        trace.extend(result.drops)
-        committed.add(result.anchor)
-        current = result.survivors
+        trace.append(TraceEvent(KIND_COMMIT, cand, None, STAGE_MAIN))
+        trace.extend(drops)
+        committed |= low
+        cur = survivors
 
-    final = frozenset(current)
+    final = _members(t, cur)
     if verify_eds(g, final):
         return Decision(VERDICT_FOUND, EdsCertificate(final, g.n), None, None,
                         tuple(trace), work)

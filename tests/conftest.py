@@ -7,11 +7,18 @@ of the package's generators, so generator tests have something to agree with.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
+from dataclasses import fields
 
 import pytest
 
+from eds_audit.errors import CapacityError
 from eds_audit.graph import Graph
+from eds_audit.oracle import OracleReport
+from eds_audit.records import (
+    KIND_AUDIT, KIND_RECORD, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord,
+)
 
 
 def cycle(n: int) -> Graph:
@@ -83,6 +90,67 @@ def all_eds_bruteforce(g: Graph) -> list[frozenset[int]]:
             if eds_by_definition(g, s):
                 out.append(s)
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+NAIVE_MAX_N = 20
+
+
+def solve_naive(g: Graph) -> OracleReport:
+    """Test all 2^n subsets; the exact oracle's own ground truth at tiny sizes.
+
+    A subset qualifies exactly when the closed neighborhoods of its members
+    are pairwise disjoint and cover every vertex (the partition
+    characterization verify_eds implements).
+    """
+    if g.n == 0:
+        raise ValueError("oracle requires a nonempty graph")
+    if g.n > NAIVE_MAX_N:
+        raise CapacityError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
+    masks = [sum(1 << u for u in g.closed_adj[v]) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    found = []
+    for bits in range(1 << g.n):
+        acc = 0
+        rest = bits
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            m = masks[v]
+            if acc & m:
+                break
+            acc |= m
+        else:
+            if acc == full:
+                found.append(frozenset(v for v in range(g.n) if bits >> v & 1))
+    solutions = tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+    return OracleReport(bool(solutions), solutions, 1 << g.n)
+
+
+_ROW_TYPES = {KIND_RECORD: CompareRecord, KIND_SKIP: SkipRecord}
+
+
+def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
+    """Parse and validate one harness JSONL row.
+
+    Compare and skip rows come back as dataclasses; audit and summary rows as
+    validated dicts.  Raises ValueError on anything malformed.
+    """
+    doc = json.loads(line)
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError("row is not an object with a 'kind' field")
+    kind = doc["kind"]
+    cls = _ROW_TYPES.get(kind)
+    if cls is not None:
+        names = [f.name for f in fields(cls)]
+        if set(doc) != {"kind", *names}:
+            raise ValueError(f"{kind} row has wrong fields: {sorted(doc)}")
+        values = {name: doc[name] for name in names}
+        if "claim_audit_flags" in values:
+            values["claim_audit_flags"] = tuple(values["claim_audit_flags"])
+        return cls(**values)
+    if kind in (KIND_AUDIT, KIND_SUMMARY):
+        return doc
+    raise ValueError(f"unknown row kind {kind!r}")
 
 
 @pytest.fixture

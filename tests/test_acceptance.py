@@ -18,11 +18,13 @@ from eds_audit.generators import (
     gen_complete, gen_cycle, gen_hypercube, gen_petersen, gen_random_regular,
 )
 from eds_audit.graph import Graph, encode_graph6
-from eds_audit.oracle import solve_exact, solve_naive
-from eds_audit.records import CompareRecord, parse_record_line, replay_counterexample
+from eds_audit.oracle import solve_exact
+from eds_audit.records import CompareRecord, replay_counterexample
 from eds_audit.reduction import (
     VERDICT_FOUND, VERDICT_NONE, WORK_BUDGET_COEFF, decide_eds, work_budget,
 )
+
+from .conftest import parse_record_line, solve_naive
 
 
 def report(number: int, ok: bool, elapsed: float, note: str = "") -> None:

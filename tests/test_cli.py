@@ -12,9 +12,9 @@ import eds_audit.cli as cli
 from eds_audit import reduction
 from eds_audit.generators import gen_random_regular
 from eds_audit.graph import Graph, encode_graph6
-from eds_audit.records import parse_record_line, replay_counterexample
+from eds_audit.records import replay_counterexample
 
-from .conftest import cycle, path, petersen
+from .conftest import cycle, parse_record_line, path, petersen
 
 
 def run(capsys, *argv):
@@ -363,7 +363,8 @@ def test_audit_reports_a_filter_that_drops_a_solution_vertex():
     # a broken drop rule: an always-disjoint row (2, 0) first in vertex 0's rows
     item = audit_c6()
     g = item[2]
-    vars(g)["drop_rows"] = (((2, 0),) + g.drop_rows[0],) + g.drop_rows[1:]
+    t = reduction._scan(g, None)
+    g.scan_tables[None] = t._replace(rows=(((2, 0),) + t.rows[0],) + t.rows[1:])
     row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
     assert {"vertex": 0, "witness": 2} in row["filter_soundness_violations"]

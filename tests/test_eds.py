@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph
 
-from .conftest import complete, cycle, eds_by_definition, hypercube, path
+from .conftest import complete, cycle, eds_by_definition, hypercube, path, solve_naive
 
 
 def test_verify_eds_examples(c6, q3):
@@ -56,7 +56,6 @@ def test_verified_sets_dominate(case):
 
 def test_certificate_size_matches_bound():
     # every EDS of a regular graph has exactly n/(r+1) members
-    from eds_audit.oracle import solve_naive
     for g in (cycle(6), cycle(9), complete(5), hypercube(3), hypercube(1)):
         bound = g.n // (len(g.adj[0]) + 1)
         report = solve_naive(g)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from eds_audit.errors import CapacityError
 from eds_audit.generators import gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, is_regular
-from eds_audit.oracle import solve_exact, solve_naive
+from eds_audit.oracle import solve_exact
 
 from .conftest import (PETERSEN_EDGES, all_eds_bruteforce, complete, cycle, hypercube, path,
-                       petersen, two_triangles)
+                       petersen, solve_naive, two_triangles)
 from .test_graph import graphs
 
 
@@ -25,10 +25,9 @@ def test_cycle_law_small():
 
 
 def test_petersen_negative(pet):
-    assert not solve_exact(pet).has_eds
-    # search with the divisibility pre-filter disabled agrees
-    report = solve_exact(pet, use_size_bound=False)
-    assert not report.has_eds and report.nodes_explored > 0
+    # 4 does not divide 10: the divisibility law settles it without a search
+    report = solve_exact(pet)
+    assert not report.has_eds and report.nodes_explored == 0
 
 
 def test_c6_enumeration(c6):
@@ -126,12 +125,11 @@ def test_elapsed_and_nodes_reported(c6):
 # the same order and return the same solutions.
 
 
-def reference_solve_exact(g, enumerate_all=False, *, use_size_bound=True):
+def reference_solve_exact(g, enumerate_all=False):
     from eds_audit.oracle import _closed_masks, _sorted_solutions
-    if use_size_bound:
-        r = is_regular(g)
-        if r is not None and g.n % (r + 1):
-            return (), 0
+    r = is_regular(g)
+    if r is not None and g.n % (r + 1):
+        return (), 0
     masks = _closed_masks(g)
     closed_sorted = [sorted(g.closed_adj[v]) for v in range(g.n)]
     found = []
@@ -183,11 +181,8 @@ def irregular_corpus() -> list[Graph]:
 
 def assert_matches_reference(g: Graph) -> None:
     for enumerate_all in (False, True):
-        for use_size_bound in (True, False):
-            got = solve_exact(g, enumerate_all, use_size_bound=use_size_bound)
-            expected = reference_solve_exact(g, enumerate_all,
-                                             use_size_bound=use_size_bound)
-            assert (got.solutions, got.nodes_explored) == expected, g
+        got = solve_exact(g, enumerate_all)
+        assert (got.solutions, got.nodes_explored) == reference_solve_exact(g, enumerate_all), g
 
 
 def test_iterative_search_matches_recursive_reference():

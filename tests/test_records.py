@@ -11,11 +11,11 @@ from eds_audit.oracle import solve_exact
 from eds_audit.records import (
     CompareRecord, SkipRecord, compute_agree, counterexample_path,
     decide_report_doc, json_line, load_counterexample, oracle_report_doc,
-    parse_record_line, replay_counterexample, save_counterexample,
+    replay_counterexample, save_counterexample,
 )
 from eds_audit.reduction import decide_eds
 
-from .conftest import cycle, petersen
+from .conftest import cycle, parse_record_line, petersen
 
 
 def make_record(**overrides) -> CompareRecord:

@@ -351,9 +351,9 @@ class TestSoundness:
 
 # Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
 # per test, and a _reduce that re-sorts the candidates after every drop and
-# tests every candidate, so it ignores ``deleted``.  The bitmask _reduce,
-# which tests only stale vertices, must reproduce its tests, drops and
-# witnesses; the drop-rule tests above state the rule on the same reference.
+# tests every candidate.  The bitmask _reduce, which tests only stale
+# vertices, must reproduce its tests, drops and witnesses; the drop-rule
+# tests above state the rule on the same reference.
 
 
 def reference_drop_witness(g, candidates, v):
@@ -367,7 +367,7 @@ def reference_drop_witness(g, candidates, v):
     return None
 
 
-def reference_reduce(g, current, deleted, order, stage, events):
+def reference_reduce(g, current, order, stage, events):
     key = None if order is None else order.__getitem__
     tests = 0
     while True:
@@ -382,11 +382,23 @@ def reference_reduce(g, current, deleted, order, stage, events):
             return tests
 
 
-def on_reference(fn, *args, **kwargs):
-    """Call ``fn`` with the reference reduction in place of _reduce."""
+def as_mask(t, vertices):
+    return sum(t.bit[v] for v in vertices)
+
+
+def on_reference(fn, g, *args, **kwargs):
+    """Call ``fn(g, ...)`` with the reference reduction behind the _reduce
+    seam, which reads only the scan order and the candidates off the
+    kernel's mask and ignores ``stale``."""
+    def seam(t, cur, stale, stage, events):
+        order = [b.bit_length() - 1 for b in t.bit]
+        current = {v for v in range(g.n) if cur & t.bit[v]}
+        tests = reference_reduce(g, current, order, stage, events)
+        return as_mask(t, current), tests
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_reduce", reference_reduce)
-        return fn(*args, **kwargs)
+        mp.setattr(reduction, "_reduce", seam)
+        return fn(g, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -415,12 +427,14 @@ def test_kernel_matches_reference_on_arbitrary_graphs(case):
     # seeded probe path: set, drop log with witnesses, and test count
     g, a = case
     for order in (None, rank_permutation(g.n, 1)):
-        got, got_events = set(a), []
-        want, want_events = set(a), []
-        got_tests = reduction._reduce(g, got, None, order, STAGE_INITIAL, got_events)
-        want_tests = reference_reduce(g, want, None, order, STAGE_INITIAL, want_events)
-        assert (got, got_events, got_tests) == (want, want_events, want_tests), (g, a, order)
-        fixpoint = frozenset(got)
+        t = reduction._scan(g, order)
+        got_events, want, want_events = [], set(a), []
+        got, got_tests = reduction._reduce(t, as_mask(t, a), as_mask(t, a), STAGE_INITIAL,
+                                           got_events)
+        want_tests = reference_reduce(g, want, order, STAGE_INITIAL, want_events)
+        assert (got, got_events, got_tests) == \
+            (as_mask(t, want), want_events, want_tests), (g, a, order)
+        fixpoint = frozenset(want)
         assert reduce_to_fixpoint(g, a, order=order) == (fixpoint, tuple(got_events))
         for base in (fixpoint, reduce_to_fixpoint(g, everything(g), order=order)[0]):
             for anchor in sorted(base):
@@ -511,7 +525,38 @@ def test_scan_order_must_be_a_permutation(c6):
 
 
 def test_probe_rejects_out_of_range_candidates(c6):
-    with pytest.raises(ValueError, match="out of range"):
-        probe(c6, frozenset({0, 3, 6}), 0)
-    with pytest.raises(ValueError, match="out of range"):
-        probe(c6, frozenset({-1, 0, 3}), 0)
+    # the kernel indexes its tables by vertex id, where -1 would alias n - 1
+    for a in (frozenset({0, 3, 6}), frozenset({-1, 0, 3})):
+        with pytest.raises(ValueError, match="out of range"):
+            probe(c6, a, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            reduce_to_fixpoint(c6, a)
+
+
+def test_drop_tables_match_their_definitions():
+    for g in (cycle(6), complete(4), hypercube(3), petersen(), path(7), two_triangles(),
+              complete(5)):
+        for order in (None, rank_permutation(g.n, 1)):
+            rank = range(g.n) if order is None else order
+            t = reduction._scan(g, order)
+            assert reduction._scan(g, order) is t
+
+            def mask(vertices):
+                return sum(1 << rank[u] for u in vertices)
+
+            assert t.bit == tuple(1 << rank[v] for v in range(g.n))
+            assert [t.vertex[rank[v]] for v in range(g.n)] == list(range(g.n))
+            for v in range(g.n):
+                far = g.second_lists[v]
+                assert tuple(c for c, _ in t.rows[v]) == far
+                for c, row in t.rows[v]:
+                    assert row == mask(g.adj[c] - g.adj[v]), (g, order, v, c)
+                assert t.nbr[v] == mask(g.adj[v])
+                assert t.ball[v] == mask(g.adj[v] | set(far))
+            for x in range(g.n):
+                # reach[x] holds exactly the vertices at distance 2 from a
+                # neighbour of x, among them every vertex with a row holding x
+                assert t.reach[x] == mask(set().union(*(g.second_lists[u] for u in g.adj[x])))
+                for v in range(g.n):
+                    if any(row & t.bit[x] for _, row in t.rows[v]):
+                        assert t.reach[x] & t.bit[v], (g, order, x, v)
