@@ -158,7 +158,7 @@ def cmd_oracle(args) -> int:
         except ValueError as exc:
             _print(json_line({"graph6": graph6, "error": "usage", "message": str(exc)}),
                    sys.stdout)
-            status = EXIT_INPUT
+            status = max(status, EXIT_INPUT)
             continue
         _print(json_line(oracle_report_doc(graph6, report)), sys.stdout)
     return status
@@ -302,9 +302,10 @@ def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> di
     graph6, genspec, g = item
     if g.n == 0:
         return SkipRecord(graph6, 0, "empty-graph", genspec).to_json_dict()
-    if g.n > cap:
+    try:
+        enum = solve_exact(g, enumerate_all=True, max_n=cap)
+    except CapacityError:
         return SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()
-    enum = solve_exact(g, enumerate_all=True, max_n=cap)
     solutions = enum.solutions
     union = frozenset().union(*solutions) if solutions else frozenset()
     everything = frozenset(range(g.n))
@@ -346,14 +347,13 @@ def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> di
 
 
 def cmd_audit_facts(args) -> int:
-    cap = args.max_n if args.max_n is not None else AUDIT_DEFAULT_MAX_N
     status = EXIT_OK
     sound = 0
     total = 0
     inputs = collect_inputs(args)
     with _open_out(args) as out:
         for item in inputs:
-            row = _audit_one(item, cap)
+            row = _audit_one(item, args.max_n)
             _print(json_line(row), out)
             if row["kind"] == KIND_AUDIT:
                 total += 1
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate solutions and audit filter/probe claims")
     add_input(p, with_gen=True)
     p.add_argument("--out", help="JSONL output path (default stdout)")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=int, default=AUDIT_DEFAULT_MAX_N,
                    help=f"size guard for enumeration (default {AUDIT_DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_audit_facts)
 

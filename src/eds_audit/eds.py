@@ -43,7 +43,6 @@ def verify_eds(g: Graph, s: VertexSet) -> bool:
 
 @dataclass(frozen=True)
 class EdsCertificate:
-    """A vertex set that passed verify_eds against a graph of ``graph_n`` vertices."""
+    """A vertex set that passed verify_eds."""
 
     members: frozenset[int]
-    graph_n: int

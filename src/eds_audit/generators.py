@@ -57,13 +57,13 @@ def gen_petersen(n: int, k: int) -> Graph:
         raise ValueError("generalized Petersen needs n >= 3")
     if not 1 <= k < n / 2:
         raise ValueError("generalized Petersen needs 1 <= k < n/2")
+    # no edge repeats: a repeated inner edge needs 2k = 0 (mod n)
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
         edges.append((i, n + i))
         edges.append((n + i, n + (i + k) % n))
-    norm = {(min(u, v), max(u, v)) for u, v in edges}
-    return Graph.from_edges(2 * n, sorted(norm))
+    return Graph.from_edges(2 * n, edges)
 
 
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:

@@ -85,7 +85,8 @@ class Graph:
     @cached_property
     def scan_tables(self) -> dict:
         """The reduction's tables, one entry per scan order run on this
-        graph (None: ascending id), filled on first use by ``reduction``."""
+        graph, keyed by its seed (None: ascending id), filled on first use
+        by ``reduction``."""
         return {}
 
     # the answers of is_regular and is_connected, computed once per graph

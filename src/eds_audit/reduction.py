@@ -78,9 +78,6 @@ class TraceEvent(NamedTuple):
     witness: int | None
     stage: str
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -92,7 +89,6 @@ class ProbeResult:
     from the drop positions.  The kernel itself tests only stale vertices.
     """
 
-    anchor: int
     survivors: frozenset[int]
     drops: tuple[TraceEvent, ...]
     tests: int
@@ -121,7 +117,7 @@ class Decision:
         return tuple(e.vertex for e in self.trace if e.kind == KIND_COMMIT)
 
     def trace_json(self) -> list[dict]:
-        return [e.to_json_dict() for e in self.trace]
+        return [e._asdict() for e in self.trace]
 
 
 class _Scan(NamedTuple):
@@ -148,17 +144,14 @@ def _union(masks: Sequence[int], members: Iterable[int]) -> int:
     return m
 
 
-def _scan(g: Graph, order: Sequence[int] | None) -> _Scan:
-    """The tables for scanning ``g`` in ``order`` (``order[v]`` is v's
-    rank; None: ascending id), built on first use and kept in
-    ``g.scan_tables``."""
-    key = None if order is None else tuple(order)
-    t = g.scan_tables.get(key)
+def _scan(g: Graph, seed: int | None) -> _Scan:
+    """The tables for scanning ``g`` in ascending id (``seed`` None) or in
+    the order of ``rank_permutation(g.n, seed)``, built on first use and
+    kept in ``g.scan_tables`` under ``seed``."""
+    t = g.scan_tables.get(seed)
     if t is not None:
         return t
-    rank = range(g.n) if order is None else key
-    if sorted(rank) != list(range(g.n)):
-        raise ValueError(f"scan order is not a permutation of range({g.n})")
+    rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
     bit = tuple(map((1).__lshift__, rank))
     nbr = [_union(bit, s) for s in g.adj]
     far = [_union(bit, s) for s in g.second_lists]
@@ -167,7 +160,7 @@ def _scan(g: Graph, order: Sequence[int] | None) -> _Scan:
     t = _Scan(bit, sorted(range(g.n), key=rank.__getitem__), rows,
               tuple([_union(far, s) for s in g.adj]), tuple(nbr),
               tuple(map(int.__or__, nbr, far)))
-    g.scan_tables[key] = t
+    g.scan_tables[seed] = t
     return t
 
 
@@ -225,14 +218,13 @@ def _probe(g: Graph, t: _Scan, cur: int, anchor: int, stage: str,
     return _reduce(t, cur & ~t.ball[anchor], stale, stage, events)
 
 
-def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = None
-                       ) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
-    """Apply the drop filter until no vertex of ``a`` qualifies.
+def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
+    """Apply the drop filter until no vertex of ``a`` qualifies, scanning in
+    ascending id.
 
-    Returns the fixed point and the ordered drop log.  ``order`` is a
-    permutation of the vertex ids that ranks them for the scan, ``order[v]``
-    being v's rank (default: ascending id); it changes the drop log, never
-    the fixed point.
+    Returns the fixed point and the ordered drop log.  Another scan order,
+    such as a seeded one from ``_scan``, changes the drop log, never the
+    fixed point.
 
     Proof.  Droppability is monotone: v is droppable in A when some row
     N(c) - N(v) of v is disjoint from A, and a row disjoint from A is
@@ -246,15 +238,14 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet, *, order: Sequence[int] | None = 
     """
     for v in a:
         g._check_vertex(v)
-    t = _scan(g, order)
+    t = _scan(g, None)
     cur = _union(t.bit, a)
     events: list[TraceEvent] = []
     cur, _ = _reduce(t, cur, cur, STAGE_INITIAL, events)
     return _members(t, cur), tuple(events)
 
 
-def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = None
-          ) -> ProbeResult:
+def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
     reduce to a fixpoint.
 
@@ -269,14 +260,13 @@ def probe(g: Graph, a: VertexSet, anchor: int, *, order: Sequence[int] | None = 
     """
     if anchor not in a:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
-    g._check_vertex(anchor)
     # the kernel indexes its tables without checks, so reject stray ids here
     g._check_vertex(min(a))
     g._check_vertex(max(a))
-    t = _scan(g, order)
+    t = _scan(g, None)
     events: list[TraceEvent] = []
     cur, tests = _probe(g, t, _union(t.bit, a), anchor, STAGE_PROBE, events)
-    return ProbeResult(anchor, _members(t, cur), tuple(events), tests)
+    return ProbeResult(_members(t, cur), tuple(events), tests)
 
 
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
@@ -297,8 +287,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     if not is_connected(g):
         raise ValueError("decision procedure requires a connected graph")
 
-    order = None if drop_order_seed is None else rank_permutation(g.n, drop_order_seed)
-    t = _scan(g, order)
+    t = _scan(g, drop_order_seed)
     trace: list[TraceEvent] = []
     everything = (1 << g.n) - 1
     cur, work = _reduce(t, everything, everything, STAGE_INITIAL, trace)
@@ -332,7 +321,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
 
     final = _members(t, cur)
     if verify_eds(g, final):
-        return Decision(VERDICT_FOUND, EdsCertificate(final, g.n), None, None,
+        return Decision(VERDICT_FOUND, EdsCertificate(final), None, None,
                         tuple(trace), work)
     return Decision(VERDICT_DISCREPANCY, None, REASON_NOT_EDS, final,
                     tuple(trace), work)

@@ -14,7 +14,6 @@ bit-reproducible across platforms and implementations:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -61,14 +60,13 @@ class SplitMix64:
             yield items[0]
 
 
-@lru_cache(maxsize=1024)
 def rank_permutation(n: int, seed: int) -> tuple[int, ...]:
     """rank[v] = position of vertex v in a seeded shuffle of 0..n-1.
 
-    Ordering vertices by rank yields the seeded scan order used by the
-    order-sensitivity audits.  A sweep asks for the same few (n, seed) pairs
-    once per graph, so results are cached; a tuple, so no caller can change
-    a cached order.
+    Ordering vertices by rank yields the seeded scan order of
+    ``decide_eds(g, drop_order_seed)``.  The shuffle yields every vertex
+    once, as its position becomes final, so the result is a permutation of
+    range(n) by construction.
     """
     rank = [0] * n
     # the shuffle yields positions n-1 down to 0 of the shuffled order

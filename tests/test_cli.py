@@ -88,6 +88,15 @@ def test_oracle_capacity_exit(capsys):
     assert out_lines(out)[0]["error"] == "capacity"
 
 
+@pytest.mark.parametrize("lines", ["?\nEhEG\n", "EhEG\n?\n"])
+def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines):
+    # a usage row (empty graph) and a capacity row exit 3 in either order
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    code, out, _ = run(capsys, "oracle", "--max-n", "4", "-")
+    assert code == 3
+    assert sorted(doc["error"] for doc in out_lines(out)) == ["capacity", "usage"]
+
+
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
     code2, out2, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")

@@ -237,10 +237,14 @@ def test_splitmix64_reference_vector():
 
 
 def test_rank_permutation_properties():
-    ranks = rank_permutation(10, 1)
-    assert sorted(ranks) == list(range(10))
-    assert rank_permutation(10, 1) == ranks
-    assert rank_permutation(10, 2) != ranks
+    # the scan tables take rank_permutation's result as a permutation
+    # unchecked, so every seeded order must be one by construction
+    for n in range(65):
+        for seed in range(1, 21):
+            ranks = rank_permutation(n, seed)
+            assert sorted(ranks) == list(range(n)), (n, seed)
+            assert rank_permutation(n, seed) == ranks
+    assert rank_permutation(10, 2) != rank_permutation(10, 1)
 
 
 def test_shuffle_matches_randbelow_fisher_yates():
