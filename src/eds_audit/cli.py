@@ -11,7 +11,6 @@ import argparse
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
@@ -276,6 +275,7 @@ def _run_compare(inputs, deterministic, cap, jobs):
     if jobs == 1:
         yield from map(one, inputs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         window: deque = deque()
         items = iter(inputs)

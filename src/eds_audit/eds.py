@@ -7,26 +7,9 @@ closed neighborhoods of its members partition the vertex set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, VertexSet
-
-
-def _check_members(g: Graph, s: VertexSet) -> None:
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"set member {v} out of range for n={g.n}")
-
-
-def _partition_check(g: Graph, s: VertexSet) -> bool:
-    # closed neighborhoods of s pairwise disjoint and covering V
-    covered: set[int] = set()
-    for x in sorted(s):
-        cn = g.closed_adj[x]
-        if covered & cn:
-            return False
-        covered |= cn
-    return len(covered) == g.n
 
 
 def verify_eds(g: Graph, s: VertexSet) -> bool:
@@ -37,12 +20,20 @@ def verify_eds(g: Graph, s: VertexSet) -> bool:
     s) in every Graph: construction rejects loops and asymmetric edges.
     """
     s = frozenset(s)
-    _check_members(g, s)
-    return _partition_check(g, s)
+    for v in s:
+        if not 0 <= v < g.n:
+            raise ValueError(f"set member {v} out of range for n={g.n}")
+    # closed neighborhoods of s pairwise disjoint and covering V
+    covered: set[int] = set()
+    for x in sorted(s):
+        cn = g.closed_adj[x]
+        if covered & cn:
+            return False
+        covered |= cn
+    return len(covered) == g.n
 
 
-@dataclass(frozen=True)
-class EdsCertificate:
+class EdsCertificate(NamedTuple):
     """A vertex set that passed verify_eds."""
 
     members: frozenset[int]

@@ -7,8 +7,7 @@ the SplitMix64 generator so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CapacityError, ParseError
 from .graph import Graph, is_connected
@@ -120,14 +119,7 @@ def _family(name: str) -> tuple[Callable[..., Graph], tuple[str, ...]]:
         raise ValueError(f"unknown graph family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """One generator invocation, with a canonical string form for CLI flags
-    and report rows (e.g. 'random-regular:n=10,r=3,seed=42').
-
-    The family must be known and each of its parameters set.
-    """
-
+class _GenSpecFields(NamedTuple):
     family: str
     n: int | None = None
     r: int | None = None
@@ -136,11 +128,23 @@ class GenSpec:
     offsets: tuple[int, ...] | None = None
     seed: int | None = None
 
-    def __post_init__(self) -> None:
+
+class GenSpec(_GenSpecFields):
+    """One generator invocation, with a canonical string form for CLI flags
+    and report rows (e.g. 'random-regular:n=10,r=3,seed=42').
+
+    The family must be known and each of its parameters set.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GenSpec":
+        self = super().__new__(cls, *args, **kwargs)
         _, params = _family(self.family)
         missing = [p for p in params if getattr(self, p) is None]
         if missing:
             raise ValueError(f"{self.family} spec missing {sorted(missing)}")
+        return self
 
     def canonical(self) -> str:
         parts = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -23,30 +22,42 @@ GRAPH6_HEADER = ">>graph6<<"
 _G6_MIN = 63
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor sets.
 
-    Instances are immutable after construction; neighborhood caches are safe
-    to share across concurrent readers.
+    Instances are immutable after construction, compare and hash by
+    ``(n, adj)``, and their neighborhood caches are safe to share across
+    concurrent readers.
     """
 
-    n: int
-    adj: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for v, nbrs in enumerate(self.adj):
+        for v, nbrs in enumerate(adj):
             if v in nbrs:
                 raise ValueError(f"self-loop at vertex {v}")
             for u in nbrs:
-                if not 0 <= u < self.n:
+                if not 0 <= u < n:
                     raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if v not in self.adj[u]:
+                if v not in adj[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        self.__dict__.update(n=n, adj=adj)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
+
+    __delattr__ = __setattr__  # del g.n raises as well
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (self.n, self.adj) == (other.n, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, adj={self.adj})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

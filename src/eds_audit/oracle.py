@@ -6,8 +6,7 @@ verification semantics, so the cross-check stays meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityError
 from .graph import Graph, is_regular
@@ -15,8 +14,7 @@ from .graph import Graph, is_regular
 DEFAULT_MAX_N = 128
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Exact-solver outcome: verdict, solutions, and search effort."""
 
     has_eds: bool
@@ -24,11 +22,7 @@ class OracleReport:
     nodes_explored: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "has_eds": self.has_eds,
-            "solutions": [sorted(s) for s in self.solutions],
-            "nodes_explored": self.nodes_explored,
-        }
+        return {**self._asdict(), "solutions": [sorted(s) for s in self.solutions]}
 
 
 def _closed_masks(g: Graph) -> list[int]:

@@ -6,15 +6,15 @@ field, so consumers can parse each line independently.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
-from .oracle import OracleReport
+from .graph import parse_graph6
+from .oracle import OracleReport, solve_exact
 from .reduction import (
     KIND_DROP, KIND_PROBE_EMPTY, STAGE_INITIAL, STAGE_MAIN,
-    VERDICT_DISCREPANCY, VERDICT_FOUND, Decision,
+    VERDICT_DISCREPANCY, VERDICT_FOUND, Decision, decide_eds,
 )
 
 FLAG_PROBE_CONVERSE = "probe-converse-violation"
@@ -32,8 +32,7 @@ def json_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class CompareRecord:
+class CompareRecord(NamedTuple):
     """One comparison row: both verdicts for one graph plus audit flags."""
 
     graph6: str
@@ -56,8 +55,7 @@ class CompareRecord:
         return doc
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     """A graph the harness did not process, and why."""
 
     graph6: str
@@ -70,7 +68,7 @@ class SkipRecord:
 
 
 def _row_dict(kind: str, record) -> dict:
-    doc = {f.name: getattr(record, f.name) for f in fields(record)}
+    doc = record._asdict()
     doc["kind"] = kind
     return doc
 
@@ -111,6 +109,7 @@ def oracle_report_doc(graph6: str, report: OracleReport) -> dict:
 
 
 def counterexample_path(directory: Path, graph6: str) -> Path:
+    import hashlib  # loaded here: only counterexample files need it
     digest = hashlib.sha256(graph6.encode("ascii")).hexdigest()[:16]
     return directory / f"counterexample-{digest}.json"
 
@@ -143,10 +142,6 @@ def load_counterexample(path: Path) -> dict:
 def replay_counterexample(path: Path) -> tuple[bool, str]:
     """Re-run both solvers on a saved graph and compare against the stored
     documents byte-for-byte (as canonical JSON lines)."""
-    from .graph import parse_graph6
-    from .oracle import solve_exact
-    from .reduction import decide_eds
-
     payload = load_counterexample(path)
     g = parse_graph6(payload["graph6"])
     fresh_decide = decide_report_doc(payload["graph6"], decide_eds(g),

@@ -25,7 +25,6 @@ disagreement or as an explicit Discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds
@@ -79,8 +78,7 @@ class TraceEvent(NamedTuple):
     stage: str
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Outcome of probing one anchor: the reduced candidate set, drop log and
     droppability-test count.
 
@@ -94,8 +92,7 @@ class ProbeResult:
     tests: int
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Verdict of the decision procedure plus its full audit trail.
 
     ``certificate`` is set for 'found' (always verified), ``reason`` for

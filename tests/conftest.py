@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import fields
 
 import pytest
 
@@ -132,7 +131,7 @@ _ROW_TYPES = {KIND_RECORD: CompareRecord, KIND_SKIP: SkipRecord}
 def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
     """Parse and validate one harness JSONL row.
 
-    Compare and skip rows come back as dataclasses; audit and summary rows as
+    Compare and skip rows come back as NamedTuples; audit and summary rows as
     validated dicts.  Raises ValueError on anything malformed.
     """
     doc = json.loads(line)
@@ -141,7 +140,7 @@ def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
     kind = doc["kind"]
     cls = _ROW_TYPES.get(kind)
     if cls is not None:
-        names = [f.name for f in fields(cls)]
+        names = cls._fields
         if set(doc) != {"kind", *names}:
             raise ValueError(f"{kind} row has wrong fields: {sorted(doc)}")
         values = {name: doc[name] for name in names}

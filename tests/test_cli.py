@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,7 +388,7 @@ def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
 
     def broken(g, a, anchor, **kwargs):
         result = real(g, a, anchor, **kwargs)
-        return replace(result, survivors=frozenset()) if anchor == 3 else result
+        return result._replace(survivors=frozenset()) if anchor == 3 else result
 
     monkeypatch.setattr(cli, "probe", broken)
     row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
@@ -466,3 +469,29 @@ def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
             code, _, err = run(capsys, command, "--out", str(out_path), *source)
             assert code == 2 and "error" in err
             assert out_path.read_text() == "kept\n"
+
+
+# modules a serial run has no use for: multiprocessing only serves --jobs K
+# with K > 1 and hashlib only counterexample file names
+UNUSED_BY_SERIAL_RUNS = ("dataclasses", "inspect", "hashlib", "multiprocessing",
+                         "concurrent.futures.process")
+
+
+def imported_modules(*argv):
+    """Every module a fresh interpreter imports to run argv, by -X importtime."""
+    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_serial_runs_import_only_what_they_use():
+    # a module the bare interpreter already loads (site hooks) is exempt
+    bare = imported_modules("-c", "pass")
+    g6 = encode_graph6(cycle(6))
+    for argv in (["decide", g6], ["compare", "--deterministic", "--jobs", "1", g6]):
+        loaded = imported_modules("-m", "eds_audit.cli", *argv) - bare
+        assert "eds_audit.reduction" in loaded
+        assert sorted(loaded.intersection(UNUSED_BY_SERIAL_RUNS)) == [], argv

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,30 @@ def test_construction_validates():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, (frozenset({1}), frozenset()))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="length"):
+        Graph(2, (frozenset(),))
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(1, (frozenset({0}),))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(2, (frozenset({2}), frozenset()))
+
+
+def test_graph_is_an_immutable_value():
+    g = cycle(5)
+    with pytest.raises(AttributeError):
+        g.n = 6
+    with pytest.raises(AttributeError):
+        g.adj = cycle(6).adj
+    assert g.n == 5 and len(g.adj) == 5
+    # the same graph from the edges in another order, with a cache filled
+    twin = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+    assert twin.closed_adj[0] == {4, 0, 1}
+    assert twin is not g and twin == g and hash(twin) == hash(g)
+    assert {g: "c5"}[twin] == "c5"
+    assert g != cycle(6) and g != path(5)
+    assert pickle.loads(pickle.dumps(twin)) == g
 
 
 def test_neighbors_examples(c6, k4):
