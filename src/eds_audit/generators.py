@@ -82,18 +82,21 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     master = SplitMix64(seed)
     template = [v for v in range(n) for _ in range(r)]
     for _ in range(PAIRING_RETRY_BUDGET):
-        # one iterator zipped with itself pairs stubs (2k+1, 2k), k top-down
-        it = SplitMix64(master.next_u64()).shuffle(template.copy())
-        seen: set[tuple[int, int]] = set()
+        # one iterator zipped with itself pairs stubs (2k+1, 2k), k top-down;
+        # edge {u, v} with u < v is the int u*n + v in seen
+        stubs = template.copy()
+        it = SplitMix64(master.next_u64()).shuffle(stubs)
+        seen: set[int] = set()
         for u, v in zip(it, it):
             if u == v:
                 break
-            key = (u, v) if u < v else (v, u)
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 break
             seen.add(key)
         else:
-            g = Graph.from_edges(n, sorted(seen))
+            # drained, so stubs is fully shuffled and its pairs are the edges
+            g = Graph.from_edges(n, zip(stubs[::2], stubs[1::2]))
             if is_connected(g):
                 return g
     raise CapacityError(

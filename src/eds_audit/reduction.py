@@ -120,14 +120,15 @@ class Decision(NamedTuple):
 class _Scan(NamedTuple):
     """The kernel's tables for one scan order, with every mask over scan
     ranks: vertex u is bit ``bit[u]``, rank i holds ``vertex[i]``.
-    ``rows[v]``: (c, mask of N(c) - N(v)) for each c at distance exactly 2,
-    in ascending c.  ``reach[x]``: every v with a row that holds x.
-    ``nbr[a]``: N(a).  ``ball[a]``: N(a) and the distance-2 vertices of a.
+    ``far[v]``: the vertices at distance exactly 2 from v, in ascending id
+    (``g.second_lists``).  ``reach[x]``: every v with some c in ``far[v]``
+    and x in N(c), so every v whose drop test reads x.  ``nbr[a]``: N(a).
+    ``ball[a]``: N(a) and the distance-2 vertices of a.
     """
 
     bit: tuple[int, ...]
     vertex: Sequence[int]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    far: tuple[tuple[int, ...], ...]
     reach: tuple[int, ...]
     nbr: tuple[int, ...]
     ball: tuple[int, ...]
@@ -151,12 +152,10 @@ def _scan(g: Graph, seed: int | None) -> _Scan:
     rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
     bit = tuple(map((1).__lshift__, rank))
     nbr = [_union(bit, s) for s in g.adj]
-    far = [_union(bit, s) for s in g.second_lists]
-    rows = tuple([tuple([(c, nbr[c] & ~nbr[v]) for c in cs])
-                  for v, cs in enumerate(g.second_lists)])
-    t = _Scan(bit, sorted(range(g.n), key=rank.__getitem__), rows,
-              tuple([_union(far, s) for s in g.adj]), tuple(nbr),
-              tuple(map(int.__or__, nbr, far)))
+    dist2 = [_union(bit, s) for s in g.second_lists]
+    t = _Scan(bit, sorted(range(g.n), key=rank.__getitem__), g.second_lists,
+              tuple([_union(dist2, s) for s in g.adj]), tuple(nbr),
+              tuple(map(int.__or__, nbr, dist2)))
     g.scan_tables[seed] = t
     return t
 
@@ -179,24 +178,26 @@ def _reduce(t: _Scan, cur: int, stale: int, stage: str,
 
     Only the vertices in ``stale`` can be droppable: all of ``cur``, or,
     when ``cur`` is a fixpoint less some deleted vertices, the ones whose
-    rows meet the deleted ones.  The loop tests the lowest stale vertex v
-    against its rows in ascending c; a drop logs the first row disjoint from
-    ``cur`` as the witness and makes stale the candidates whose rows hold v.
-    Droppability is monotone (``reduce_to_fixpoint``), so a vertex outside
-    ``stale`` stays undroppable, and the lowest stale droppable vertex is
-    the rescan's next drop, with the same witness.  The rescan tests every
-    candidate ranked before that drop, and at the fixpoint every candidate:
-    the count is computed from those positions.
+    rows N(c) - N(v) meet the deleted ones.  The loop tests the lowest stale
+    vertex v: it takes ``rest`` = ``cur`` - N(v) once, and one AND per c in
+    ``far[v]``, in ascending c, finds whether N(c) misses ``rest``.  A drop
+    logs the first such c as the witness and makes stale the candidates
+    whose rows hold v.  Droppability is monotone (``reduce_to_fixpoint``),
+    so a vertex outside ``stale`` stays undroppable, and the lowest stale
+    droppable vertex is the rescan's next drop, with the same witness.  The
+    rescan tests every candidate ranked before that drop, and at the
+    fixpoint every candidate: the count is computed from those positions.
     """
-    vertex, rows, reach = t.vertex, t.rows, t.reach
+    vertex, far, nbr, reach = t.vertex, t.far, t.nbr, t.reach
     stale &= cur
     logged = len(events)
     tests = 0
     while stale:
         low = stale & -stale
         v = vertex[low.bit_length() - 1]
-        for c, outside in rows[v]:
-            if not outside & cur:
+        rest = cur & ~nbr[v]
+        for c in far[v]:
+            if not nbr[c] & rest:
                 cur ^= low
                 tests += (cur & (low - 1)).bit_count()
                 events.append(TraceEvent(KIND_DROP, v, c, stage))

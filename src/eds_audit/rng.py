@@ -6,6 +6,8 @@ bit-reproducible across platforms and implementations:
 - state update: state += 0x9E3779B97F4A7C15 (mod 2^64)
 - output: z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
   z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31  (all mod 2^64)
+- batched draws: draws(k) is the next k outputs, the same stream as k
+  next_u64() calls, computed in packed-integer passes of up to 64 outputs
 - bounded draw: next_u64() % bound
 - shuffle: Fisher-Yates from the last index down, j = randbelow(i + 1),
   lazily: the swap at i fixes items[i] for good, so it is yielded then, and
@@ -14,9 +16,24 @@ bit-reproducible across platforms and implementations:
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# draws() computes up to _LANES outputs at once in one int: lane i, bits
+# 128i..128i+127, holds the i-th state after the current one, so a 64x64-bit
+# product stays inside its lane and a mask cuts what a shift carries across
+_LANES = 64
+_ONES = sum(1 << 128 * i for i in range(_LANES))
+_STEPS = sum((i + 1) * _GAMMA << 128 * i for i in range(_LANES))
+_LOW64 = _ONES * _MASK64
+# a lane's low 64 bits are the even 8-byte words of its little-endian bytes
+# and the odd ones, counted from the end, of its big-endian bytes
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 class SplitMix64:
@@ -26,11 +43,31 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def draws(self, k: int) -> list[int]:
+        """The next k outputs: the same values and the same final state as
+        k calls of next_u64()."""
+        out: list[int] = []
+        state = self.state
+        while k > 0:
+            m = min(k, _LANES)
+            # the low 64 bits of lanes 0..m-1; the first AND drops the rest
+            low = _LOW64 >> (_LANES - m) * 128
+            z = (state * _ONES + _STEPS) & low
+            z = ((z ^ z >> 30) & low) * _MIX1 & low
+            z = ((z ^ z >> 27) & low) * _MIX2 & low
+            z ^= z >> 31
+            words = memoryview(z.to_bytes(m * 16, sys.byteorder)).cast("Q")
+            out += words[_LOW_WORDS].tolist()
+            state = (state + m * _GAMMA) & _MASK64
+            k -= m
+        self.state = state
+        return out
 
     def randbelow(self, bound: int) -> int:
         if bound <= 0:
@@ -45,17 +82,14 @@ class SplitMix64:
         shuffle leaves ``items`` fully shuffled and advances the stream (by
         len - 1 draws); one abandoned early leaves the stream untouched.
         """
-        # next_u64() % (i + 1) inlined on a local copy of the state, written
-        # back once: same draws, no method calls per swap
-        state = self.state
-        for i in range(len(items) - 1, 0, -1):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            j = (z ^ (z >> 31)) % (i + 1)
+        # every draw up front in one batch, from a copy of the stream that
+        # replaces it only once the shuffle is drained
+        ahead = SplitMix64(self.state)
+        for i, z in zip(range(len(items) - 1, 0, -1), ahead.draws(len(items) - 1)):
+            j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
             yield items[i]
-        self.state = state
+        self.state = ahead.state
         if items:
             yield items[0]
 

@@ -372,14 +372,15 @@ def audit_c6() -> tuple[str, None, Graph]:
 
 
 def test_audit_reports_a_filter_that_drops_a_solution_vertex():
-    # a broken drop rule: an always-disjoint row (2, 0) first in vertex 0's rows
+    # a broken drop rule: vertex 0 first in its own distance-2 list, whose
+    # row N(0) - N(0) is empty and so always misses the candidates
     item = audit_c6()
     g = item[2]
     t = reduction._scan(g, None)
-    g.scan_tables[None] = t._replace(rows=(((2, 0),) + t.rows[0],) + t.rows[1:])
+    g.scan_tables[None] = t._replace(far=((0,) + t.far[0],) + t.far[1:])
     row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
-    assert {"vertex": 0, "witness": 2} in row["filter_soundness_violations"]
+    assert {"vertex": 0, "witness": 0} in row["filter_soundness_violations"]
 
 
 def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):

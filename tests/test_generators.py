@@ -9,7 +9,7 @@ import pytest
 
 import eds_audit.cli as cli
 
-from eds_audit import generators
+from eds_audit import generators, rng
 from eds_audit.errors import CapacityError, ParseError
 from eds_audit.generators import (
     PAIRING_RETRY_BUDGET, GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
@@ -148,6 +148,17 @@ def test_random_regular_capacity_matches_reference(monkeypatch):
         assert calls[0] == PAIRING_RETRY_BUDGET
 
 
+def test_random_regular_smallest_stub_lists_pinned(monkeypatch):
+    # no stubs and two stubs: shuffles of zero and one draw, each accepted
+    # at the first attempt; graph6 recorded before the draws were batched
+    calls = _count_shuffles(monkeypatch)
+    for n, r, pinned in ((1, 0, "@"), (2, 1, "A_")):
+        for seed in (1, 2, 3):
+            calls[0] = 0
+            assert encode_graph6(gen_random_regular(n, r, seed)) == pinned
+            assert calls[0] == 1, (n, r, seed)
+
+
 def test_random_regular_impossible_exhausts_budget():
     # r=0 on two vertices can never be connected
     with pytest.raises(CapacityError, match="attempts"):
@@ -247,12 +258,31 @@ def test_rank_permutation_properties():
     assert rank_permutation(10, 2) != rank_permutation(10, 1)
 
 
+def test_draws_match_successive_next_u64():
+    # partial, whole and several packed blocks, and seeds that wrap mod 2^64
+    b = rng._LANES
+    for seed in (0, 1, 2**64 - 1, -1, 2**64 + 5):
+        for k in (0, 1, 2, b - 1, b, b + 1, 3 * b + 5):
+            batched, single = SplitMix64(seed), SplitMix64(seed)
+            assert batched.draws(k) == [single.next_u64() for _ in range(k)], (seed, k)
+            assert batched.state == single.state, (seed, k)
+
+
+def test_abandoned_shuffle_leaves_the_stream_untouched():
+    for length in (2, 7, 3 * rng._LANES):
+        gen = SplitMix64(5)
+        it = gen.shuffle(list(range(length)))
+        next(it)
+        it.close()
+        assert gen.state == SplitMix64(5).state, length
+
+
 def test_shuffle_matches_randbelow_fisher_yates():
-    # shuffle inlines the draws; drained, it must consume the stream exactly
+    # shuffle batches the draws; drained, it must consume the stream exactly
     # like Fisher-Yates from the top index down on randbelow, and it must
     # yield each position as soon as that position is final
     for seed in (0, 1, 42, 2**64 - 1):
-        for length in (0, 1, 2, 7, 60):
+        for length in (0, 1, 2, 7, 60, 200):
             expected = list(range(length))
             ref = SplitMix64(seed)
             for i in range(length - 1, 0, -1):

@@ -562,17 +562,15 @@ def test_drop_tables_match_their_definitions():
 
             assert t.bit == tuple(1 << rank[v] for v in range(g.n))
             assert [t.vertex[rank[v]] for v in range(g.n)] == list(range(g.n))
+            assert t.far is g.second_lists
             for v in range(g.n):
-                far = g.second_lists[v]
-                assert tuple(c for c, _ in t.rows[v]) == far
-                for c, row in t.rows[v]:
-                    assert row == mask(g.adj[c] - g.adj[v]), (g, seed, v, c)
                 assert t.nbr[v] == mask(g.adj[v])
-                assert t.ball[v] == mask(g.adj[v] | set(far))
+                assert t.ball[v] == mask(g.adj[v] | set(g.second_lists[v]))
             for x in range(g.n):
                 # reach[x] holds exactly the vertices at distance 2 from a
-                # neighbour of x, among them every vertex with a row holding x
+                # neighbour of x, among them every vertex with a row
+                # N(c) - N(v) holding x
                 assert t.reach[x] == mask(set().union(*(g.second_lists[u] for u in g.adj[x])))
                 for v in range(g.n):
-                    if any(row & t.bit[x] for _, row in t.rows[v]):
+                    if any(x in g.adj[c] - g.adj[v] for c in t.far[v]):
                         assert t.reach[x] & t.bit[v], (g, seed, x, v)
