@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import deque
 from contextlib import nullcontext
-from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParseError
 from .generators import GenSpec, parse_genspecs
@@ -22,23 +21,16 @@ from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_li
 from .oracle import solve_exact
 from .records import (
     FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, FLAG_WORK_BUDGET,
-    KIND_AUDIT, KIND_SUMMARY, CompareRecord, SkipRecord, compute_agree,
+    KIND_AUDIT, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord, compute_agree,
     decide_report_doc, json_line, oracle_report_doc, save_counterexample,
 )
-from .reduction import (
-    REASON_EXHAUSTED, VERDICT_DISCREPANCY,
-    decide_eds, probe, reduce_to_fixpoint, work_budget,
-)
+from .reduction import REASON_EXHAUSTED, decide_eds, probe, reduce_to_fixpoint, work_budget
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 AUDIT_DEFAULT_MAX_N = 20
-# graphs in flight per `compare --jobs` worker: enough that one slow graph at
-# the head of the window rarely idles the other workers, few enough that
-# memory does not grow with the sweep
-COMPARE_WINDOW_PER_JOB = 16
 
 # skip-row reason for a graph above the oracle or audit size guard
 REASON_CAPACITY = "capacity"
@@ -51,8 +43,9 @@ def _print(line: str, out) -> None:
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    Errors in the input source (input given with --gen, a missing file, an
-    empty input) are raised by this call, before the caller opens its output.
+    Errors in the input source (input given with --gen, a bad --gen spec, a
+    missing file, an empty input) are raised by this call, before the caller
+    opens its output.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
     record and replay refers to.  A --gen spec whose generator gives up
@@ -62,7 +55,7 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     if gen_args:
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
-        return _built([spec for text in gen_args for spec in parse_genspecs(text)])
+        return _built(_genspecs(gen_args))
     literal = False
     if args.input is None or args.input == "-":
         text = sys.stdin.read()
@@ -89,7 +82,13 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     return iter(list(_decoded(lines))) if literal else _decoded(lines)
 
 
-def _built(specs: list[GenSpec]) -> Iterator[tuple[str, str, Graph] | SkipRecord]:
+def _genspecs(texts: list[str]) -> Iterator[GenSpec]:
+    """Every spec the texts name, in order; each text is checked now, and
+    its specs are built only as the caller reaches them."""
+    return chain.from_iterable([parse_genspecs(text) for text in texts])
+
+
+def _built(specs: Iterable[GenSpec]) -> Iterator[tuple[str, str, Graph] | SkipRecord]:
     for spec in specs:
         try:
             g = spec.build()
@@ -167,22 +166,22 @@ def cmd_oracle(args) -> int:
 
 
 def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic: bool,
-                 cap: int | None) -> dict:
-    """One compare row for a collect_inputs item; returns row + optional
-    counterexample parts."""
+                 cap: int | None, save_dir: Path | None) -> dict:
+    """One compare row for a collect_inputs item.  A row that disagrees with
+    the oracle also gets a counterexample file in save_dir, if one is given."""
     if isinstance(item, SkipRecord):
-        return {"skip": item.to_json_dict()}
+        return item.to_json_dict()
     graph6, genspec, g = item
     err = precondition_error(g)
     if err:
-        return {"skip": SkipRecord(graph6, g.n, err, genspec).to_json_dict()}
+        return SkipRecord(graph6, g.n, err, genspec).to_json_dict()
 
     # the oracle runs first so a graph above its guard skips decide as well
     t0 = time.perf_counter()
     try:
         oracle = solve_exact(g, max_n=cap)
     except CapacityError:
-        return {"skip": SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()}
+        return SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()
     elapsed_oracle = time.perf_counter() - t0
     t0 = time.perf_counter()
     decision = decide_eds(g)
@@ -207,14 +206,11 @@ def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic
         elapsed_decide=0.0 if deterministic else elapsed_decide,
         elapsed_oracle=0.0 if deterministic else elapsed_oracle,
         genspec=genspec)
-    out = {"row": record.to_json_dict()}
-    if not record.agree or decision.verdict == VERDICT_DISCREPANCY:
-        out["counterexample"] = {
-            "record": record,
-            "decide": decide_report_doc(graph6, decision, include_trace=True),
-            "oracle": oracle_report_doc(graph6, oracle),
-        }
-    return out
+    if save_dir is not None and not record.agree:
+        save_counterexample(save_dir, graph6, record,
+                            decide_report_doc(graph6, decision, include_trace=True),
+                            oracle_report_doc(graph6, oracle))
+    return record.to_json_dict()
 
 
 def cmd_compare(args) -> int:
@@ -224,73 +220,31 @@ def cmd_compare(args) -> int:
     with _open_out(args) as out:
         if save_dir is not None:
             save_dir.mkdir(parents=True, exist_ok=True)
-        results = _run_compare(inputs, args.deterministic,
-                               args.max_n, max(1, args.jobs))
         status = EXIT_OK
-        totals = {"rows": 0, "skips": 0, "agreements": 0,
-                  "counterexamples": 0, "max_work_counter": 0}
-        for result in results:
-            if "skip" in result:
-                _print(json_line(result["skip"]), out)
-                totals["skips"] += 1
-                if result["skip"]["reason"] == REASON_CAPACITY:
+        records = skips = agreements = max_work_counter = 0
+        for item in inputs:
+            row = _compare_one(item, args.deterministic, args.max_n, save_dir)
+            _print(json_line(row), out)
+            if row["kind"] == KIND_SKIP:
+                skips += 1
+                if row["reason"] == REASON_CAPACITY:
                     status = EXIT_CAPACITY
                 continue
-            row = result["row"]
-            _print(json_line(row), out)
-            totals["rows"] += 1
-            totals["agreements"] += 1 if row["agree"] else 0
-            totals["max_work_counter"] = max(totals["max_work_counter"],
-                                             row["work_counter"])
-            if "counterexample" in result:
-                totals["counterexamples"] += 1
-                if save_dir is not None:
-                    ce = result["counterexample"]
-                    save_counterexample(save_dir, row["graph6"], ce["record"],
-                                        ce["decide"], ce["oracle"])
+            records += 1
+            agreements += 1 if row["agree"] else 0
+            max_work_counter = max(max_work_counter, row["work_counter"])
         summary = {
             "kind": KIND_SUMMARY,
-            "total": totals["rows"] + totals["skips"],
-            "records": totals["rows"],
-            "skips": totals["skips"],
-            "agreement_rate": (totals["agreements"] / totals["rows"]
-                               if totals["rows"] else None),
-            "max_work_counter": totals["max_work_counter"],
-            "counterexamples": totals["counterexamples"],
+            "total": records + skips,
+            "records": records,
+            "skips": skips,
+            "agreement_rate": agreements / records if records else None,
+            "max_work_counter": max_work_counter,
+            # every disagreement is a counterexample
+            "counterexamples": records - agreements,
         }
         _print(json_line(summary), sys.stdout)
     return status
-
-
-def _run_compare(inputs, deterministic, cap, jobs):
-    """Compare results in input order, serially or over ``jobs`` processes.
-
-    With processes, at most ``COMPARE_WINDOW_PER_JOB * jobs`` graphs are in
-    flight, so memory does not grow with the sweep, and an input error is
-    raised after the results of the graphs before it, as in a serial run.
-    Rows leave in input order, so a slow graph at the head of the window
-    idles the other workers once the window behind it has finished.
-    """
-    one = partial(_compare_one, deterministic=deterministic, cap=cap)
-    if jobs == 1:
-        yield from map(one, inputs)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        window: deque = deque()
-        items = iter(inputs)
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except ValueError:
-                yield from (future.result() for future in window)
-                raise
-            window.append(pool.submit(one, item))
-            if len(window) == COMPARE_WINDOW_PER_JOB * jobs:
-                yield window.popleft().result()
-        yield from (future.result() for future in window)
 
 
 # audit-facts
@@ -369,7 +323,7 @@ def cmd_audit_facts(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    specs = [spec for text in args.spec for spec in parse_genspecs(text)]
+    specs = _genspecs(args.spec)
     with _open_out(args) as out:
         for spec in specs:
             _print(encode_graph6(spec.build()), out)
@@ -407,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSONL output path (default stdout)")
     p.add_argument("--save-counterexamples", metavar="DIR",
                    help="directory for replayable disagreement files")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; rows stay in input order")
     p.add_argument("--deterministic", action="store_true",
                    help="zeroed timings, byte-stable output")
     p.add_argument("--max-n", type=int, help="override the oracle size guard")

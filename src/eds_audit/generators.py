@@ -7,7 +7,7 @@ the SplitMix64 generator so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, ParseError
 from .graph import Graph, is_connected
@@ -174,11 +174,12 @@ def _seed_range(value: str) -> range:
     return range(first, last + 1)
 
 
-def parse_genspecs(text: str) -> list[GenSpec]:
+def parse_genspecs(text: str) -> Iterator[GenSpec]:
     """Parse 'family:key=value,...', keys in any order.
 
     A 'seed=A..B' wherever it appears expands to one spec per seed, A to B
-    inclusive, in seed order.
+    inclusive, in seed order.  The whole text is checked by this call; the
+    specs are built one at a time as the iterator reaches them.
     """
     family, _, rest = text.partition(":")
     family = family.strip()
@@ -204,14 +205,17 @@ def parse_genspecs(text: str) -> list[GenSpec]:
             except ValueError:
                 raise ValueError(f"non-integer value in {chunk!r}") from None
     seed = fields.pop("seed", None)
-    return [GenSpec(family, seed=s, **fields)  # type: ignore[arg-type]
-            for s in (seed if isinstance(seed, range) else (seed,))]
+    seeds = seed if isinstance(seed, range) else (seed,)
+    # a missing parameter raises here; the seed is all that differs later
+    GenSpec(family, seed=seeds[0], **fields)  # type: ignore[arg-type]
+    return (GenSpec(family, seed=s, **fields)  # type: ignore[arg-type]
+            for s in seeds)
 
 
 def parse_genspec(text: str) -> GenSpec:
     """Parse a spec that names exactly one graph; a seed range over several
     seeds is an error."""
-    specs = parse_genspecs(text)
-    if len(specs) != 1:
-        raise ValueError(f"{text!r} names {len(specs)} graphs, not one")
-    return specs[0]
+    spec, *rest = parse_genspecs(text)
+    if rest:
+        raise ValueError(f"{text!r} names {1 + len(rest)} graphs, not one")
+    return spec

@@ -8,8 +8,7 @@ bit-reproducible across platforms and implementations:
   z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31  (all mod 2^64)
 - batched draws: draws(k) is the next k outputs, the same stream as k
   next_u64() calls, computed in packed-integer passes of up to 64 outputs
-- bounded draw: next_u64() % bound
-- shuffle: Fisher-Yates from the last index down, j = randbelow(i + 1),
+- shuffle: Fisher-Yates from the last index down, j = next_u64() % (i + 1),
   lazily: the swap at i fixes items[i] for good, so it is yielded then, and
   items[0] comes last; a caller can stop at the first position it rejects
 """
@@ -69,27 +68,18 @@ class SplitMix64:
         self.state = state
         return out
 
-    def randbelow(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
     def shuffle(self, items: list) -> Iterator:
         """Shuffle ``items`` in place, yielding each position as it is fixed.
 
         Yields items[len - 1], items[len - 2], ..., items[0] of the final
-        list: after k yields, items[len - k:] is final.  Only a drained
-        shuffle leaves ``items`` fully shuffled and advances the stream (by
-        len - 1 draws); one abandoned early leaves the stream untouched.
+        list: after k yields, items[len - k:] is final, and only a drained
+        shuffle leaves ``items`` fully shuffled.  The first yield takes all
+        len - 1 draws from the stream in one batch, drained or not.
         """
-        # every draw up front in one batch, from a copy of the stream that
-        # replaces it only once the shuffle is drained
-        ahead = SplitMix64(self.state)
-        for i, z in zip(range(len(items) - 1, 0, -1), ahead.draws(len(items) - 1)):
+        for i, z in zip(range(len(items) - 1, 0, -1), self.draws(len(items) - 1)):
             j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
             yield items[i]
-        self.state = ahead.state
         if items:
             yield items[0]
 

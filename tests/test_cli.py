@@ -150,6 +150,10 @@ def test_compare_reversed_seed_range_is_an_error(capsys):
 def test_gen_bad_spec(capsys):
     code, _, err = run(capsys, "gen", "banana:n=2")
     assert code == 2 and "unknown graph family" in err
+    # every spec is checked before the first line is written
+    for bad in ("banana:n=2", "cycle:m=6", "random-regular:n=8,r=3,seed=4..2"):
+        code, out, _ = run(capsys, "gen", "cycle:n=6", bad)
+        assert code == 2 and out == "", bad
 
 
 def test_compare_cycles(capsys, tmp_path):
@@ -198,18 +202,17 @@ def test_compare_capacity_skip_continues(capsys, tmp_path):
 def test_compare_generator_capacity_skip_continues(capsys):
     # r = 6 on 14 vertices exhausts the pairing budget: no graph exists, so
     # the row is a capacity skip, and later specs and the summary still run
-    for jobs in ("1", "2"):
-        code, out, _ = run(capsys, "compare", "--deterministic", "--jobs", jobs,
-                           "--gen", "cycle:n=9",
-                           "--gen", "random-regular:n=14,r=6,seed=1",
-                           "--gen", "cycle:n=12")
-        assert code == 3
-        rows = out_lines(out)
-        assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
-        assert rows[1] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 14,
-                           "genspec": "random-regular:n=14,r=6,seed=1"}
-        assert [rows[0]["n"], rows[2]["n"]] == [9, 12]
-        assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
+    code, out, _ = run(capsys, "compare", "--deterministic",
+                       "--gen", "cycle:n=9",
+                       "--gen", "random-regular:n=14,r=6,seed=1",
+                       "--gen", "cycle:n=12")
+    assert code == 3
+    rows = out_lines(out)
+    assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
+    assert rows[1] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 14,
+                       "genspec": "random-regular:n=14,r=6,seed=1"}
+    assert [rows[0]["n"], rows[2]["n"]] == [9, 12]
+    assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
 
 
 def test_compare_work_budget_flag(capsys, monkeypatch):
@@ -271,50 +274,6 @@ def test_counterexample_above_default_guard_replays(capsys, tmp_path):
     assert code == 0
     [saved] = ce_dir.glob("counterexample-*.json")
     assert replay_counterexample(saved) == (True, "replay matches")
-
-
-def test_compare_jobs_parallel(capsys, tmp_path):
-    # worker processes change timings only: rows come in input order
-    spec = "random-regular:n=12,r=3,seed=1..20"
-    code, out, _ = run(capsys, "compare", "--deterministic", "--gen", spec)
-    assert code == 0
-    serial = out_lines(out)[:-1]
-    out_path = tmp_path / "rows.jsonl"
-    code, _, _ = run(capsys, "compare", "--jobs", "2", "--out", str(out_path), "--gen", spec)
-    assert code == 0
-    parallel = [json.loads(l) for l in out_path.read_text().splitlines()]
-    assert len(serial) == 20
-    assert [dict(row, elapsed_decide=0.0, elapsed_oracle=0.0) for row in parallel] == serial
-
-
-def test_compare_jobs_window_is_bounded():
-    window = 2 * cli.COMPARE_WINDOW_PER_JOB
-    sizes = [6 + i % 7 for i in range(3 * window)]
-    pulled = []
-
-    def inputs():
-        for n in sizes:
-            pulled.append(n)
-            g = cycle(n)
-            yield encode_graph6(g), None, g
-
-    results = cli._run_compare(inputs(), True, None, 2)
-    first = next(results)
-    assert len(pulled) <= window
-    rows = [first["row"]] + [r["row"] for r in results]
-    assert [row["n"] for row in rows] == pulled == sizes
-
-
-def test_compare_jobs_rows_before_malformed_line(capsys, tmp_path):
-    p = tmp_path / "in.g6"
-    p.write_text(encode_graph6(cycle(6)) + "\n" + encode_graph6(cycle(9)) + "\nB\x01\n")
-    outputs = []
-    for jobs in ("1", "2"):
-        code, out, err = run(capsys, "compare", "--deterministic", "--jobs", jobs, str(p))
-        assert code == 2 and "line 3:" in err
-        outputs.append(out)
-    assert [row["n"] for row in out_lines(outputs[1])] == [6, 9]
-    assert outputs[1] == outputs[0]
 
 
 def test_compare_deterministic_byte_identical(capsys, tmp_path):
@@ -452,10 +411,12 @@ def test_each_input_decoded_once(capsys, tmp_path, monkeypatch):
 def test_rows_before_malformed_line_are_written(capsys, tmp_path):
     p = tmp_path / "in.g6"
     p.write_text(encode_graph6(cycle(6)) + "\n" + encode_graph6(cycle(9)) + "\nB\x01\n")
-    code, out, err = run(capsys, "decide", str(p))
-    assert code == 2
-    assert [d["verdict"] for d in out_lines(out)] == ["found", "found"]
-    assert "line 3:" in err
+    for command in ("decide", "compare", "audit-facts"):
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2 and "line 3:" in err, command
+        # no summary: the run stopped at the bad line
+        assert [d["graph6"] for d in out_lines(out)] == [
+            encode_graph6(cycle(6)), encode_graph6(cycle(9))], command
 
 
 def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
@@ -464,16 +425,17 @@ def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("\n")
     for command in ("compare", "audit-facts"):
+        # the last --gen names no seed: every spec is checked before any row
         for source in ([str(tmp_path / "missing.g6")], ["Bw", "--gen", "cycle:n=6"],
-                       [str(empty)]):
+                       [str(empty)], ["--gen", "cycle:n=6", "--gen", "random-regular:n=8,r=3"]):
             out_path.write_text("kept\n")
             code, _, err = run(capsys, command, "--out", str(out_path), *source)
             assert code == 2 and "error" in err
             assert out_path.read_text() == "kept\n"
 
 
-# modules a serial run has no use for: multiprocessing only serves --jobs K
-# with K > 1 and hashlib only counterexample file names
+# modules a run has no use for: nothing runs in other processes, and hashlib
+# only names counterexample files
 UNUSED_BY_SERIAL_RUNS = ("dataclasses", "inspect", "hashlib", "multiprocessing",
                          "concurrent.futures.process")
 
@@ -492,7 +454,7 @@ def test_serial_runs_import_only_what_they_use():
     # a module the bare interpreter already loads (site hooks) is exempt
     bare = imported_modules("-c", "pass")
     g6 = encode_graph6(cycle(6))
-    for argv in (["decide", g6], ["compare", "--deterministic", "--jobs", "1", g6]):
+    for argv in (["decide", g6], ["compare", "--deterministic", g6]):
         loaded = imported_modules("-m", "eds_audit.cli", *argv) - bare
         assert "eds_audit.reduction" in loaded
         assert sorted(loaded.intersection(UNUSED_BY_SERIAL_RUNS)) == [], argv

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -173,7 +174,7 @@ def test_genspec_roundtrip():
     for text in texts:
         spec = parse_genspec(text)
         assert spec.canonical() == text
-        assert parse_genspecs(text) == [spec]
+        assert list(parse_genspecs(text)) == [spec]
         spec.build()
 
 
@@ -213,10 +214,22 @@ def test_seed_range_expands_in_any_position(capsys):
     lines = [encode_graph6(spec.build()) for spec in singles]
     for text in ("random-regular:n=8,r=3,seed=1..3", "random-regular:seed=1..3,n=8,r=3",
                  "random-regular:n=8,seed=1..3,r=3"):
-        assert parse_genspecs(text) == singles
+        assert list(parse_genspecs(text)) == singles
         assert cli.main(["gen", text]) == 0
         assert capsys.readouterr().out.splitlines() == lines
-    assert parse_genspecs("random-regular:n=8,r=3,seed=2..2") == singles[1:2]
+    assert list(parse_genspecs("random-regular:n=8,r=3,seed=2..2")) == singles[1:2]
+
+
+def test_seed_range_is_expanded_lazily():
+    # a sweep builds each spec as it reaches it, not all of them up front
+    tracemalloc.start()
+    try:
+        first = next(iter(parse_genspecs("random-regular:n=12,r=3,seed=1..200000")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == parse_genspec("random-regular:n=12,r=3,seed=1")
+    assert peak < 64 * 1024, peak
 
 
 def test_parse_genspec_rejects_a_range():
@@ -268,25 +281,16 @@ def test_draws_match_successive_next_u64():
             assert batched.state == single.state, (seed, k)
 
 
-def test_abandoned_shuffle_leaves_the_stream_untouched():
-    for length in (2, 7, 3 * rng._LANES):
-        gen = SplitMix64(5)
-        it = gen.shuffle(list(range(length)))
-        next(it)
-        it.close()
-        assert gen.state == SplitMix64(5).state, length
-
-
 def test_shuffle_matches_randbelow_fisher_yates():
     # shuffle batches the draws; drained, it must consume the stream exactly
-    # like Fisher-Yates from the top index down on randbelow, and it must
-    # yield each position as soon as that position is final
+    # like Fisher-Yates from the top index down on next_u64() % (i + 1), and
+    # it must yield each position as soon as that position is final
     for seed in (0, 1, 42, 2**64 - 1):
         for length in (0, 1, 2, 7, 60, 200):
             expected = list(range(length))
             ref = SplitMix64(seed)
             for i in range(length - 1, 0, -1):
-                j = ref.randbelow(i + 1)
+                j = ref.next_u64() % (i + 1)
                 expected[i], expected[j] = expected[j], expected[i]
             got = list(range(length))
             rng = SplitMix64(seed)
@@ -298,6 +302,7 @@ def test_shuffle_matches_randbelow_fisher_yates():
                 assert got[length - k:] == expected[length - k:]
             assert got == expected
             assert yielded == expected[::-1]
+            assert rng.state == ref.state
             assert rng.next_u64() == ref.next_u64()
 
 
