@@ -20,11 +20,11 @@ from .generators import GenSpec, parse_genspecs
 from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_list, parse_graph6
 from .oracle import solve_exact
 from .records import (
-    FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, FLAG_WORK_BUDGET,
-    KIND_AUDIT, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord, compute_agree,
-    decide_report_doc, json_line, oracle_report_doc, save_counterexample,
+    FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, KIND_AUDIT, KIND_SKIP, KIND_SUMMARY,
+    CompareRecord, SkipRecord, compute_agree, decide_report_doc, json_line,
+    oracle_report_doc, save_counterexample,
 )
-from .reduction import REASON_EXHAUSTED, decide_eds, probe, reduce_to_fixpoint, work_budget
+from .reduction import REASON_EXHAUSTED, decide_eds, probe, reduce_to_fixpoint
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -192,8 +192,6 @@ def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic
         flags.append(FLAG_EXHAUSTED)
         if oracle.has_eds:
             flags.append(FLAG_PROBE_CONVERSE)
-    if decision.work_counter > work_budget(g.n):
-        flags.append(FLAG_WORK_BUDGET)
 
     record = CompareRecord(
         graph6=graph6, n=g.n, r=len(g.adj[0]),

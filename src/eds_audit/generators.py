@@ -16,46 +16,66 @@ from .rng import SplitMix64
 PAIRING_RETRY_BUDGET = 10_000
 
 
-def gen_cycle(n: int) -> Graph:
+def _check_cycle(n: int) -> None:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+
+
+def gen_cycle(n: int) -> Graph:
+    _check_cycle(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def gen_complete(n: int) -> Graph:
+def _check_complete(n: int) -> None:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+
+
+def gen_complete(n: int) -> Graph:
+    _check_complete(n)
     return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
 
 
-def gen_hypercube(d: int) -> Graph:
+def _check_hypercube(d: int) -> None:
     if d < 1:
         raise ValueError("hypercube needs dimension >= 1")
+
+
+def gen_hypercube(d: int) -> Graph:
+    _check_hypercube(d)
     n = 1 << d
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
     return Graph.from_edges(n, edges)
 
 
-def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
+def _check_circulant(n: int, offsets: tuple[int, ...]) -> None:
     if n < 1:
         raise ValueError("circulant needs n >= 1")
-    offs = sorted(set(offsets))
-    if not offs:
+    if not offsets:
         raise ValueError("circulant needs at least one offset")
-    for o in offs:
+    for o in sorted(set(offsets)):
         if not 0 < o <= n // 2:
             raise ValueError(f"offset {o} outside 1..n/2")
+
+
+def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
+    _check_circulant(n, offsets)
+    offs = sorted(set(offsets))
     edges = {(min(i, (i + o) % n), max(i, (i + o) % n)) for i in range(n) for o in offs}
     return Graph.from_edges(n, sorted(edges))
+
+
+def _check_petersen(n: int, k: int) -> None:
+    if n < 3:
+        raise ValueError("generalized Petersen needs n >= 3")
+    if not 1 <= k < n / 2:
+        raise ValueError("generalized Petersen needs 1 <= k < n/2")
 
 
 def gen_petersen(n: int, k: int) -> Graph:
     """Generalized Petersen graph: outer n-cycle 0..n-1, inner vertices
     n..2n-1 joined at step k, spokes i to n+i."""
-    if n < 3:
-        raise ValueError("generalized Petersen needs n >= 3")
-    if not 1 <= k < n / 2:
-        raise ValueError("generalized Petersen needs 1 <= k < n/2")
+    _check_petersen(n, k)
     # no edge repeats: a repeated inner edge needs 2k = 0 (mod n)
     edges = []
     for i in range(n):
@@ -63,6 +83,14 @@ def gen_petersen(n: int, k: int) -> Graph:
         edges.append((i, n + i))
         edges.append((n + i, n + (i + k) % n))
     return Graph.from_edges(2 * n, edges)
+
+
+def _check_random_regular(n: int, r: int, seed: int) -> None:
+    # every seed is in range
+    if n < 1 or r < 0 or r >= n:
+        raise ValueError("random regular graph needs 0 <= r < n")
+    if (n * r) % 2:
+        raise ValueError("random regular graph needs n*r even")
 
 
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:
@@ -75,10 +103,7 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     if it is disconnected.  Which attempts pass, and their edges, do not
     depend on the order the pairs are checked in.
     """
-    if n < 1 or r < 0 or r >= n:
-        raise ValueError("random regular graph needs 0 <= r < n")
-    if (n * r) % 2:
-        raise ValueError("random regular graph needs n*r even")
+    _check_random_regular(n, r, seed)
     master = SplitMix64(seed)
     template = [v for v in range(n) for _ in range(r)]
     for _ in range(PAIRING_RETRY_BUDGET):
@@ -104,18 +129,21 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
         f"within {PAIRING_RETRY_BUDGET} attempts")
 
 
-# family -> (builder, its parameter names in argument and canonical order)
-_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
-    "cycle": (gen_cycle, ("n",)),
-    "complete": (gen_complete, ("n",)),
-    "hypercube": (gen_hypercube, ("d",)),
-    "circulant": (gen_circulant, ("n", "offsets")),
-    "generalized-petersen": (gen_petersen, ("n", "k")),
-    "random-regular": (gen_random_regular, ("n", "r", "seed")),
+# family -> (builder, its parameter names in argument and canonical order,
+# the check that raises ValueError unless the builder's arguments are in
+# range; the builder runs it first, and GenSpec when a spec is parsed)
+_Family = tuple[Callable[..., Graph], tuple[str, ...], Callable[..., None]]
+_FAMILIES: dict[str, _Family] = {
+    "cycle": (gen_cycle, ("n",), _check_cycle),
+    "complete": (gen_complete, ("n",), _check_complete),
+    "hypercube": (gen_hypercube, ("d",), _check_hypercube),
+    "circulant": (gen_circulant, ("n", "offsets"), _check_circulant),
+    "generalized-petersen": (gen_petersen, ("n", "k"), _check_petersen),
+    "random-regular": (gen_random_regular, ("n", "r", "seed"), _check_random_regular),
 }
 
 
-def _family(name: str) -> tuple[Callable[..., Graph], tuple[str, ...]]:
+def _family(name: str) -> _Family:
     try:
         return _FAMILIES[name]
     except KeyError:
@@ -136,17 +164,19 @@ class GenSpec(_GenSpecFields):
     """One generator invocation, with a canonical string form for CLI flags
     and report rows (e.g. 'random-regular:n=10,r=3,seed=42').
 
-    The family must be known and each of its parameters set.
+    The family must be known, and each of its parameters set and in range,
+    so a spec that parses has a graph, or a CapacityError, when built.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "GenSpec":
         self = super().__new__(cls, *args, **kwargs)
-        _, params = _family(self.family)
+        _, params, check = _family(self.family)
         missing = [p for p in params if getattr(self, p) is None]
         if missing:
             raise ValueError(f"{self.family} spec missing {sorted(missing)}")
+        check(*(getattr(self, p) for p in params))
         return self
 
     def canonical(self) -> str:
@@ -158,7 +188,7 @@ class GenSpec(_GenSpecFields):
         return f"{self.family}:{','.join(parts)}"
 
     def build(self) -> Graph:
-        builder, params = _FAMILIES[self.family]
+        builder, params, _ = _FAMILIES[self.family]
         return builder(*(getattr(self, p) for p in params))
 
 
@@ -183,7 +213,7 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
     """
     family, _, rest = text.partition(":")
     family = family.strip()
-    _, params = _family(family)
+    _, params, _ = _family(family)
     fields: dict[str, object] = {}
     for chunk in filter(None, (p.strip() for p in rest.split(","))):
         key, eq, value = chunk.partition("=")
@@ -206,7 +236,8 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
                 raise ValueError(f"non-integer value in {chunk!r}") from None
     seed = fields.pop("seed", None)
     seeds = seed if isinstance(seed, range) else (seed,)
-    # a missing parameter raises here; the seed is all that differs later
+    # a missing or out-of-range parameter raises here; the seed is all
+    # that differs later
     GenSpec(family, seed=seeds[0], **fields)  # type: ignore[arg-type]
     return (GenSpec(family, seed=s, **fields)  # type: ignore[arg-type]
             for s in seeds)

@@ -13,13 +13,12 @@ from typing import NamedTuple
 from .graph import parse_graph6
 from .oracle import OracleReport, solve_exact
 from .reduction import (
-    KIND_DROP, KIND_PROBE_EMPTY, STAGE_INITIAL, STAGE_MAIN,
-    VERDICT_DISCREPANCY, VERDICT_FOUND, Decision, decide_eds,
+    KIND_DROP, KIND_PROBE_EMPTY, STAGE_INITIAL, STAGE_MAIN, VERDICT_FOUND,
+    Decision, decide_eds,
 )
 
 FLAG_PROBE_CONVERSE = "probe-converse-violation"
 FLAG_EXHAUSTED = "candidates-exhausted"
-FLAG_WORK_BUDGET = "work-budget-exceeded"
 
 KIND_RECORD = "record"
 KIND_SKIP = "skip"
@@ -83,8 +82,8 @@ def decide_report_doc(graph6: str, decision: Decision, *, include_trace: bool = 
         "reason": decision.reason,
         "certificate": (sorted(decision.certificate.members)
                         if decision.certificate else None),
-        "final_set": (sorted(decision.final_set)
-                      if decision.final_set is not None else None),
+        # always None: 'found' is a theorem (decide_eds); pinned schema
+        "final_set": None,
         "work_counter": decision.work_counter,
         "trace_summary": {
             "initial_drops": sum(1 for e in decision.trace
@@ -156,5 +155,4 @@ def replay_counterexample(path: Path) -> tuple[bool, str]:
 
 
 def compute_agree(decide_verdict: str, oracle_has_eds: bool) -> bool:
-    found = decide_verdict == VERDICT_FOUND
-    return (found == oracle_has_eds) and decide_verdict != VERDICT_DISCREPANCY
+    return (decide_verdict == VERDICT_FOUND) == oracle_has_eds

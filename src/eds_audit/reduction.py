@@ -18,9 +18,9 @@ and shrinks it three ways:
 
 decide_eds commits one anchor per round on the strength of that unproven
 converse and never backtracks; the harness records disagreements with the
-exact oracle as findings.  Every Found verdict is verified before it is
-returned, so unsoundness can only surface as NoneExists-vs-oracle
-disagreement or as an explicit Discrepancy.
+exact oracle as findings.  A run that ends with every candidate committed
+has found an efficient dominating set (proof in ``decide_eds``), so the
+converse can fail only as a 'none-exists' verdict on a graph that has one.
 """
 
 from __future__ import annotations
@@ -41,24 +41,28 @@ KIND_PROBE_EMPTY = "probe-empty"
 
 VERDICT_FOUND = "found"
 VERDICT_NONE = "none-exists"
-VERDICT_DISCREPANCY = "discrepancy"
 
 REASON_INITIAL_EMPTY = "initial-reduction-empty"
 REASON_ALL_PROBES_EMPTY = "all-probes-empty"
 REASON_EXHAUSTED = "candidates-exhausted"
-REASON_NOT_EDS = "final-set-not-EDS"
 
-# Work bound: one unit per droppability test of the rescan-from-front cost
-# model, which _reduce computes exactly from its drop positions while testing
-# only stale vertices.  A fixpoint reduction costs at most n*(n+1) <= 2n^2
-# tests (n drops, full rescan after each); decide runs at most n+1 probes per
-# commit and at most n commits, so 4*n^4 dominates.
+# Work bound, in droppability tests of the rescan-from-front cost model
+# (ProbeResult.tests), for decide_eds on a connected r-regular graph with n
+# vertices.  Proof.  One _reduce over m <= n candidates with k drops counts
+# at most m - 1 tests before each drop, one for the dropped vertex and m - k
+# at the fixpoint: k*m + m - k <= m^2 <= n^2.  Each round probes at most
+# r + 1 candidates, ``first`` and its neighbours in ``cur``, and every round
+# but the last commits.  Committed anchors are pairwise at distance >= 3
+# (a probe deletes the anchor's distance-2 ball, and anchors come from what
+# is left), so their closed neighbourhoods are disjoint and there are at
+# most n/(r+1) commits: at most n + r + 1 probes in all.  So work_counter
+# <= n^2 + (n + r + 1)*n^2 <= 3n^3 <= 4n^4, since r < n.
 WORK_BUDGET_COEFF = 4
 
 
 def work_budget(n: int) -> int:
-    """Droppability-test budget for an n-vertex graph; the harness flags a
-    decision whose work_counter exceeds it."""
+    """An upper bound on ``decide_eds``'s work_counter for an n-vertex graph
+    (proof above)."""
     return WORK_BUDGET_COEFF * n**4
 
 
@@ -96,7 +100,7 @@ class Decision(NamedTuple):
     """Verdict of the decision procedure plus its full audit trail.
 
     ``certificate`` is set for 'found' (always verified), ``reason`` for
-    'none-exists' and 'discrepancy', ``final_set`` for 'discrepancy'.
+    'none-exists'.
     ``work_counter`` counts droppability tests across the whole run in the
     rescan-from-front cost model (see ``ProbeResult.tests``): the initial
     reduction's count plus ``tests`` of every probe, rejected ones included.
@@ -105,7 +109,6 @@ class Decision(NamedTuple):
     verdict: str
     certificate: EdsCertificate | None
     reason: str | None
-    final_set: frozenset[int] | None
     trace: tuple[TraceEvent, ...]
     work_counter: int
 
@@ -273,12 +276,26 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     By default every vertex scan and anchor choice follows ascending id; with
     ``drop_order_seed`` they follow ``rank_permutation(g.n, drop_order_seed)``
     instead, which measures order sensitivity.  Raises ValueError unless g is
-    connected and regular.  'found' verdicts carry a verified certificate; a
-    final set failing verification comes back as 'discrepancy', never as a
-    silent 'found'.
+    connected and regular.  'found' verdicts carry a verified certificate.
 
     The candidates and the committed anchors are masks over scan ranks, so
     the lowest uncommitted bit is the next anchor in scan order.
+
+    Theorem: when every candidate is committed, the final set F is an
+    efficient dominating set of the connected graph g.  Proof.  F is
+    nonempty: the run returns 'none-exists' unless the initial reduction
+    and every committed probe leave candidates.  F holds only committed
+    anchors, since the loop ends when none is left uncommitted.  These are
+    pairwise at distance >= 3, since each probe deletes its anchor's
+    distance-2 ball and later anchors come from what is left; so their
+    closed neighbourhoods are disjoint.  F is a fixpoint of the drop filter,
+    so for v in F and each c at distance 2 from v, N(c) - N(v) meets F:
+    every vertex at distance 2 from some member of F has a neighbour in F.
+    Were some vertex at distance >= 2 from F, the vertex at distance 2 from
+    F on a shortest path to it (g is connected) would be one of those, at
+    distance 1.  So F dominates, and its closed neighbourhoods partition V.
+    Regularity is not used.  The certificate is still verified: a failure
+    is a defect in this module, raised, not a verdict.
     """
     if is_regular(g) is None:
         raise ValueError("decision procedure requires a regular graph")
@@ -290,8 +307,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     everything = (1 << g.n) - 1
     cur, work = _reduce(t, everything, everything, STAGE_INITIAL, trace)
     if not cur:
-        return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, None,
-                        tuple(trace), work)
+        return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, tuple(trace), work)
 
     committed = 0
     while uncommitted := cur & ~committed:
@@ -311,15 +327,13 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
             trace.append(TraceEvent(KIND_PROBE_EMPTY, cand, None, STAGE_MAIN))
         else:
             reason = REASON_EXHAUSTED if committed else REASON_ALL_PROBES_EMPTY
-            return Decision(VERDICT_NONE, None, reason, None, tuple(trace), work)
+            return Decision(VERDICT_NONE, None, reason, tuple(trace), work)
         trace.append(TraceEvent(KIND_COMMIT, cand, None, STAGE_MAIN))
         trace.extend(drops)
         committed |= low
         cur = survivors
 
     final = _members(t, cur)
-    if verify_eds(g, final):
-        return Decision(VERDICT_FOUND, EdsCertificate(final), None, None,
-                        tuple(trace), work)
-    return Decision(VERDICT_DISCREPANCY, None, REASON_NOT_EDS, final,
-                    tuple(trace), work)
+    if not verify_eds(g, final):  # not an assert statement: -O strips those
+        raise AssertionError(f"final set {sorted(final)} is not an EDS")
+    return Decision(VERDICT_FOUND, EdsCertificate(final), None, tuple(trace), work)

@@ -215,17 +215,6 @@ def test_compare_generator_capacity_skip_continues(capsys):
     assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
 
 
-def test_compare_work_budget_flag(capsys, monkeypatch):
-    # with a tiny budget the harness records the finding instead of crashing
-    monkeypatch.setattr(reduction, "work_budget", lambda n: 1)
-    monkeypatch.setattr(cli, "work_budget", lambda n: 1)
-    code, out, _ = run(capsys, "compare", "--deterministic", "--gen", "cycle:n=6")
-    assert code == 0
-    row = out_lines(out)[0]
-    assert row["work_counter"] > 1
-    assert "work-budget-exceeded" in row["claim_audit_flags"]
-
-
 def test_compare_unwritable_out(capsys, tmp_path):
     code, _, err = run(capsys, "compare", "--out", str(tmp_path / "nope" / "x.jsonl"),
                        "--gen", "cycle:n=6")
@@ -424,14 +413,23 @@ def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
     out_path = tmp_path / "rows.jsonl"
     empty = tmp_path / "empty.g6"
     empty.write_text("\n")
+    # specs no builder accepts: a value out of range is a spec error too
+    unbuildable = ("cycle:n=2", "random-regular:n=3,r=3,seed=1",
+                   "generalized-petersen:n=6,k=3")
     for command in ("compare", "audit-facts"):
         # the last --gen names no seed: every spec is checked before any row
         for source in ([str(tmp_path / "missing.g6")], ["Bw", "--gen", "cycle:n=6"],
-                       [str(empty)], ["--gen", "cycle:n=6", "--gen", "random-regular:n=8,r=3"]):
+                       [str(empty)], ["--gen", "cycle:n=6", "--gen", "random-regular:n=8,r=3"],
+                       *(["--gen", "cycle:n=6", "--gen", spec] for spec in unbuildable)):
             out_path.write_text("kept\n")
             code, _, err = run(capsys, command, "--out", str(out_path), *source)
             assert code == 2 and "error" in err
             assert out_path.read_text() == "kept\n"
+    for spec in unbuildable:
+        out_path.write_text("kept\n")
+        code, _, err = run(capsys, "gen", "cycle:n=6", spec, "--out", str(out_path))
+        assert code == 2 and "error" in err
+        assert out_path.read_text() == "kept\n"
 
 
 # modules a run has no use for: nothing runs in other processes, and hashlib

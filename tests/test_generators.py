@@ -207,6 +207,16 @@ def test_genspec_errors():
         parse_genspecs("random-regular:seed=4..2,n=8,r=3")
     with pytest.raises(ValueError, match="bad parameter"):
         parse_genspecs("cycle:n=6,seed=1..3")
+    # each builder's own range check, run before any spec is built
+    for text, message in (("cycle:n=2", "cycle needs n >= 3"),
+                          ("complete:n=0", "complete graph needs n >= 1"),
+                          ("hypercube:d=0", "hypercube needs dimension >= 1"),
+                          ("circulant:n=6,offsets=1+4", "offset 4 outside 1..n/2"),
+                          ("generalized-petersen:n=6,k=3", "1 <= k < n/2"),
+                          ("random-regular:n=3,r=3,seed=1..5", "0 <= r < n"),
+                          ("random-regular:seed=1,n=5,r=3", "n\\*r even")):
+        with pytest.raises(ValueError, match=message):
+            parse_genspecs(text)
 
 
 def test_seed_range_expands_in_any_position(capsys):

@@ -65,8 +65,6 @@ def test_compute_agree():
     assert compute_agree("none-exists", False)
     assert not compute_agree("found", False)
     assert not compute_agree("none-exists", True)
-    assert not compute_agree("discrepancy", True)
-    assert not compute_agree("discrepancy", False)
 
 
 def test_decide_report_doc_shape(c6):

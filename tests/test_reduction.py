@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eds_audit import reduction
-from eds_audit.generators import gen_random_regular, parse_genspec
+from eds_audit.eds import verify_eds
+from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, parse_graph6
 from eds_audit.records import json_line
 from eds_audit.reduction import (
@@ -241,10 +242,49 @@ class TestDecide:
             assert set(event) == {"kind", "vertex", "witness", "stage"}
 
     def test_work_counter_positive_and_bounded(self):
-        for g in (cycle(6), cycle(30), petersen(), hypercube(4),
-                  gen_random_regular(20, 3, 7)):
+        # the bound proved above WORK_BUDGET_COEFF: at most n + r + 1 probes,
+        # each a reduction of at most n^2 tests, after one of at most n^2
+        graphs = [cycle(6), cycle(30), petersen(), hypercube(4)]
+        graphs += [gen_petersen(n, k) for n in range(5, 41) for k in range(1, (n + 1) // 2)]
+        graphs += [gen_random_regular(n, r, seed) for r in (3, 4, 5)
+                   for n in range(r + 1, 25) if n * r % 2 == 0 for seed in (1, 2)]
+        for g in graphs:
             d = decide_eds(g)
-            assert 0 < d.work_counter <= work_budget(g.n)
+            n, r = g.n, len(g.adj[0])
+            assert 0 < d.work_counter <= n**2 + (n + r + 1) * n**2 <= work_budget(n), g
+            probes = sum(e.kind in (KIND_COMMIT, KIND_PROBE_EMPTY) for e in d.trace)
+            assert probes <= n + r + 1, g
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """Arbitrary connected simple graphs: a random spanning tree plus any
+    further edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(set(tree) | extra))
+
+
+@given(connected_graphs())
+@settings(max_examples=300, deadline=None)
+def test_found_is_a_theorem_on_arbitrary_connected_graphs(g):
+    # the theorem in decide_eds's docstring does not use regularity: with the
+    # guard bypassed, no run raises, and every 'found' certificate verifies
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "is_regular", lambda g: 0)
+        for seed in (None, 1):
+            d = decide_eds(g, seed)
+            if d.verdict == VERDICT_FOUND:
+                assert verify_eds(g, d.certificate.members), (g, seed)
+
+
+def test_failed_certificate_check_raises(c6, monkeypatch):
+    # a certificate that fails verification is a program defect, not a verdict
+    monkeypatch.setattr(reduction, "verify_eds", lambda g, s: False)
+    with pytest.raises(AssertionError, match="not an EDS"):
+        decide_eds(c6)
 
 
 class TestSeededOrder:
@@ -465,8 +505,8 @@ def test_kernel_matches_reference_on_arbitrary_graphs(case):
 
 
 def test_decide_trace_identity(identity_corpus):
-    # Decision equality covers verdict, reason, certificate, final set, the
-    # full trace and work_counter
+    # Decision equality covers verdict, reason, certificate, the full trace
+    # and work_counter
     for g in identity_corpus:
         assert decide_eds(g) == on_reference(decide_eds, g), g
         for seed in range(1, 6):
@@ -527,6 +567,23 @@ def test_known_findings_pinned(source):
         trace_sha = hashlib.sha256(json_line(d.trace_json()).encode()).hexdigest()
         assert (d.verdict, d.reason, d.committed, d.work_counter, trace_sha) == \
             (verdict, reason, committed, work, digest), seed
+
+
+def test_isomorphic_twin_refutes_none_exists():
+    """GP(48,5) and GP(48,19) are isomorphic, since 5 * 19 = -1 (mod 48)
+    (Steimle and Staton, "The isomorphism classes of the generalized
+    Petersen graphs", Discrete Math. 2009), yet decide's verdicts differ:
+    the certificate found on one, mapped across, proves the other's
+    'none-exists' wrong with no oracle.  In gen_petersen ids inner i is
+    48 + i; the map sends outer i to inner 19i and inner i to outer 19i."""
+    g, twin = gen_petersen(48, 5), gen_petersen(48, 19)
+    found, lost = decide_eds(g), decide_eds(twin)
+    assert found.verdict == VERDICT_FOUND
+    assert (lost.verdict, lost.reason) == (VERDICT_NONE, REASON_EXHAUSTED)
+    phi = [48 + 19 * i % 48 for i in range(48)] + [19 * i % 48 for i in range(48)]
+    assert sorted(phi) == list(range(96))
+    assert all(twin.adj[phi[v]] == {phi[u] for u in g.adj[v]} for v in range(96))
+    assert verify_eds(twin, {phi[v] for v in found.certificate.members})
 
 
 @pytest.mark.parametrize("spec, tests", [
