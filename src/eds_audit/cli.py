@@ -328,6 +328,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _size_guard(text: str) -> int:
+    """argparse type of --max-n: a size guard below 1 would make every graph
+    a capacity row, so it is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eds-audit",
@@ -351,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the exact oracle per graph")
     add_input(p, with_gen=False)
     p.add_argument("--enumerate", action="store_true", help="enumerate all solutions")
-    p.add_argument("--max-n", type=int, help="override the oracle size guard")
+    p.add_argument("--max-n", type=_size_guard, help="override the oracle size guard")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="run both solvers and record agreement")
@@ -361,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for replayable disagreement files")
     p.add_argument("--deterministic", action="store_true",
                    help="zeroed timings, byte-stable output")
-    p.add_argument("--max-n", type=int, help="override the oracle size guard")
+    p.add_argument("--max-n", type=_size_guard, help="override the oracle size guard")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("audit-facts",
                        help="enumerate solutions and audit filter/probe claims")
     add_input(p, with_gen=True)
     p.add_argument("--out", help="JSONL output path (default stdout)")
-    p.add_argument("--max-n", type=int, default=AUDIT_DEFAULT_MAX_N,
+    p.add_argument("--max-n", type=_size_guard, default=AUDIT_DEFAULT_MAX_N,
                    help=f"size guard for enumeration (default {AUDIT_DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_audit_facts)
 

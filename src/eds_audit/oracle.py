@@ -6,7 +6,7 @@ verification semantics, so the cross-check stays meaningful.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graph import Graph, is_regular
@@ -25,40 +25,27 @@ class OracleReport(NamedTuple):
         return {**self._asdict(), "solutions": [sorted(s) for s in self.solutions]}
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
-def _sorted_solutions(found: list[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
-
-
-def _conflict_masks(g: Graph, masks: list[int]) -> list[int]:
-    """conflict[x] = union of masks[u] over u in N[x]: exactly the vertices y
-    whose closed neighborhood meets N[x], in any simple graph."""
-    conflict = []
-    for x in range(g.n):
-        c = 0
-        for u in g.closed_adj[x]:
-            c |= masks[u]
-        conflict.append(c)
-    return conflict
-
-
 def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None
                 ) -> OracleReport:
     """Exact-cover backtracking over closed neighborhoods.
 
-    Picks the uncovered vertex with the fewest remaining covers (ties to the
-    smallest id) and branches on each candidate whose closed neighborhood
-    still fits inside the uncovered set.  Finds one solution, or all of them
-    with ``enumerate_all``.
+    A vertex x is available while N[x] misses every closed neighborhood
+    chosen so far; the covers of a vertex are the available vertices of its
+    closed neighborhood.  Each search node branches on one uncovered vertex
+    v: the smallest id with at most one cover, if there is one (with none,
+    the node is dead), else the smallest id among those with the fewest
+    covers.  Its branches choose v's covers in ascending id order.  Finds
+    one solution, or all of them with ``enumerate_all``.
+
+    A node is two ints: ``avail``, a bitmask over the vertex ids, and
+    ``counts``, one w-bit field per vertex holding its cover count while it
+    is uncovered and the lift 2**s, above every count, once it is covered;
+    every vertex is covered when every field holds the lift.  Choosing v
+    costs one subtraction and one AND against the fields' top bits,
+    repeated with a higher threshold only while no uncovered vertex has
+    fewer covers than it.  Choosing x costs one subtraction per vertex it
+    makes unavailable, at most |N[N[x]]|.  A node with a cover left to try
+    keeps a frame of both ints, the covers not yet tried, and its depth.
     """
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if g.n == 0:
@@ -71,61 +58,88 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
         # divisibility failure alone proves no EDS exists
         return OracleReport(False, (), 0)
 
-    masks = _closed_masks(g)
-    conflict = _conflict_masks(g, masks)
+    adj = g.adj
+    n = g.n
+    # a count is at most max degree + 1 < 2**s, so the threshold, which
+    # stops at the fewest covers + 1, never passes the lift 2**s
+    s = (max(map(len, adj)) + 1).bit_length()
+    lift = 1 << s
+    w = s + 1
+    ones = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in every field
+    high = ones << s  # the top bit of every field: all covered
+    # below - counts holds a field's top bit iff its value is below the
+    # threshold t, for below's fields of lift + t - 1; no field borrows
+    below2 = high + ones
+    masks = []
+    spreads = []  # spreads[v]: 1 in the field of every vertex of N[v]
+    for v, nbrs in enumerate(adj):
+        m = 1 << v
+        spread = 1 << w * v
+        for u in nbrs:
+            m |= 1 << u
+            spread |= 1 << w * u
+        masks.append(m)
+        spreads.append(spread)
+    counts = sum(spreads)
+    # conflict[x]: the vertices whose closed neighborhood meets N[x]
+    conflict = []
+    for x, nbrs in enumerate(adj):
+        c = masks[x]
+        for u in nbrs:
+            c |= masks[u]
+        conflict.append(c)
+
     found: list[frozenset[int]] = []
-    # one frame per open search node: its uncovered mask, its avail mask (the
-    # vertices whose closed neighborhood still lies inside the uncovered set)
-    # and an iterator over its branch candidates; chosen[i] is the branch
-    # frame i currently takes
-    stack: list[tuple[int, int, Iterator[int]]] = []
+    # chosen: the cover taken at each level above the current node; one
+    # frame [avail, counts, untried covers, level] per node with covers left
+    # to try, so a node with one cover pushes nothing
     chosen: list[int] = []
+    stack: list[list[int]] = []
     nodes = 0
-    uncovered = avail = (1 << g.n) - 1
+    avail = (1 << n) - 1
     while True:
         nodes += 1
-        if not uncovered:
+        if counts == high:
             found.append(frozenset(chosen))
             if not enumerate_all:
                 break
+            branch = 0
         else:
-            # the covers of the uncovered vertex with the fewest of them (ties
-            # to the smallest id); none if some uncovered vertex has no cover
-            best = 0
-            fewest = g.n + 1
-            m = uncovered
-            while m:
-                low = m & -m
-                m ^= low
-                covers = masks[low.bit_length() - 1] & avail
-                if not covers:
-                    best = 0
-                    break
-                count = covers.bit_count()
-                if count < fewest:
-                    best, fewest = covers, count
-                    if count == 1:
-                        break
-            if best:
-                stack.append((uncovered, avail, iter(_bits_to_ids(best))))
-                chosen.append(-1)
-        while stack and (x := next(stack[-1][2], None)) is None:
-            stack.pop()
-            chosen.pop()
-        if not stack:
+            flags = (below2 - counts) & high
+            below = below2
+            while not flags:
+                below += ones
+                flags = (below - counts) & high
+            branch = masks[(flags & -flags).bit_length() // w - 1] & avail
+        if branch:
+            # take the first cover now, and keep a frame for the others
+            low = branch & -branch
+            if branch ^ low:
+                stack.append([avail, counts, branch ^ low, len(chosen)])
+        elif stack:
+            # a dead node or a solution: resume the deepest untried cover
+            frame = stack[-1]
+            avail, counts, branch, level = frame
+            low = branch & -branch
+            if branch ^ low:
+                frame[2] = branch ^ low
+            else:
+                stack.pop()
+            del chosen[level:]
+        else:
             break
-        chosen[-1] = x
-        uncovered, avail, _ = stack[-1]
-        uncovered &= ~masks[x]
-        avail &= ~conflict[x]
+        x = low.bit_length() - 1
+        chosen.append(x)
+        # every vertex of N[N[x]] still available goes, x with them; then
+        # each vertex of N[x] has no cover left, and takes the lift instead
+        gone = avail & conflict[x]
+        avail ^= gone
+        gone ^= low
+        counts += spreads[x] * (lift - 1)
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            counts -= spreads[low.bit_length() - 1]
 
-    solutions = _sorted_solutions(found)
+    solutions = tuple(sorted(found, key=sorted))
     return OracleReport(bool(solutions), solutions, nodes)
-
-
-def _bits_to_ids(bits: int) -> list[int]:
-    ids = []
-    while bits:
-        ids.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return ids

@@ -91,6 +91,23 @@ def test_oracle_capacity_exit(capsys):
     assert out_lines(out)[0]["error"] == "capacity"
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare", "audit-facts"])
+def test_max_n_below_one_is_a_usage_error(capsys, tmp_path, command):
+    # a guard below 1 would turn every graph into a capacity row
+    out_path = tmp_path / "rows.jsonl"
+    out_args = [] if command == "oracle" else ["--out", str(out_path)]
+    for value in ("0", "-1"):
+        out_path.write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--max-n", value, *out_args, "Bw"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", value
+        assert "--max-n: must be at least 1" in captured.err
+        assert out_path.read_text() == "kept\n"
+    code, out, _ = run(capsys, command, "--max-n", "1", "@")
+    assert code == 0 and out_lines(out)[0]["graph6"] == "@"
+
+
 @pytest.mark.parametrize("lines", ["?\nEhEG\n", "EhEG\n?\n"])
 def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines):
     # a usage row (empty graph) and a capacity row exit 3 in either order

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from eds_audit.errors import CapacityError
-from eds_audit.generators import gen_random_regular, parse_genspec
+from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact
 
@@ -126,12 +126,11 @@ def test_elapsed_and_nodes_reported(c6):
 
 
 def reference_solve_exact(g, enumerate_all=False):
-    from eds_audit.oracle import _closed_masks, _sorted_solutions
     r = is_regular(g)
     if r is not None and g.n % (r + 1):
         return (), 0
-    masks = _closed_masks(g)
-    closed_sorted = [sorted(g.closed_adj[v]) for v in range(g.n)]
+    closed_sorted = [sorted(g.adj[v] | {v}) for v in range(g.n)]
+    masks = [sum(1 << u for u in closed) for closed in closed_sorted]
     found = []
     chosen = []
     nodes = 0
@@ -163,7 +162,7 @@ def reference_solve_exact(g, enumerate_all=False):
         return False
 
     recurse((1 << g.n) - 1)
-    return _sorted_solutions(found), nodes
+    return tuple(sorted(found, key=sorted)), nodes
 
 
 def star(k: int) -> Graph:
@@ -181,7 +180,7 @@ def irregular_corpus() -> list[Graph]:
 
 def assert_matches_reference(g: Graph) -> None:
     for enumerate_all in (False, True):
-        got = solve_exact(g, enumerate_all)
+        got = solve_exact(g, enumerate_all, max_n=g.n)
         assert (got.solutions, got.nodes_explored) == reference_solve_exact(g, enumerate_all), g
 
 
@@ -200,6 +199,27 @@ def test_iterative_search_matches_recursive_reference():
     for g in large:
         got = solve_exact(g)
         assert (got.solutions, got.nodes_explored) == reference_solve_exact(g), g
+
+
+def test_search_matches_reference_across_field_widths_and_thresholds():
+    # K_n's counts need fields of 2 to 9 bits.  Where every uncovered vertex
+    # has 2 covers or more, as at each root here with an edge, the threshold
+    # climbs past 2: to d + 2 at the root of Q_d
+    for g in ([complete(n) for n in range(1, 131)] + [hypercube(d) for d in range(8)]
+              + [gen_petersen(n, k) for n in range(3, 41) for k in range(1, (n + 1) // 2)]):
+        assert_matches_reference(g)
+
+
+def test_generalized_petersen_law_at_scale():
+    # GP(n, k) has an EDS iff 4 | n and k is odd (Ebrahimi, Jahanbakht and
+    # Mahmoodian 2009); the node total pins the search tree
+    nodes = 0
+    for n in (64, 96, 128):
+        for k in range(1, (n + 1) // 2):
+            report = solve_exact(gen_petersen(n, k), max_n=2 * n)
+            assert report.has_eds == (n % 4 == 0 and k % 2 == 1), (n, k)
+            nodes += report.nodes_explored
+    assert nodes == 243065
 
 
 @given(graphs())
