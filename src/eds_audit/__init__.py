@@ -6,10 +6,7 @@ from .generators import (
     GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
     gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
 )
-from .graph import (
-    Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_edge_list,
-    parse_graph6,
-)
+from .graph import Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_graph6
 from .oracle import OracleReport, solve_exact
 from .reduction import (
     Decision, ProbeResult, TraceEvent, decide_eds, probe,
@@ -23,7 +20,7 @@ __all__ = [
     "OracleReport", "ParseError", "ProbeResult", "TraceEvent", "VertexSet",
     "decide_eds", "encode_graph6", "gen_circulant", "gen_complete",
     "gen_cycle", "gen_hypercube", "gen_petersen", "gen_random_regular",
-    "is_connected", "is_regular", "parse_edge_list", "parse_genspec",
-    "parse_genspecs", "parse_graph6", "probe", "reduce_to_fixpoint",
-    "solve_exact", "verify_eds", "work_budget",
+    "is_connected", "is_regular", "parse_genspec", "parse_genspecs",
+    "parse_graph6", "probe", "reduce_to_fixpoint", "solve_exact", "verify_eds",
+    "work_budget",
 ]

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParseError
 from .generators import GenSpec, parse_genspecs
-from .graph import Graph, encode_graph6, is_connected, is_regular, parse_edge_list, parse_graph6
+from .graph import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from .oracle import solve_exact
 from .records import (
     FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, KIND_AUDIT, KIND_SKIP, KIND_SUMMARY,
@@ -43,9 +43,10 @@ def _print(line: str, out) -> None:
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    Errors in the input source (input given with --gen, a bad --gen spec, a
-    missing file, an empty input) are raised by this call, before the caller
-    opens its output.
+    The input is stdin ("-" or none), an existing file, or else a literal
+    graph6 string.  Errors in the input source (input given with --gen, a bad
+    --gen spec, a literal that does not decode, an empty input) are raised by
+    this call, before the caller opens its output.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
     record and replay refers to.  A --gen spec whose generator gives up
@@ -67,19 +68,19 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
             is_file = False
         if is_file:
             text = path.read_text(encoding="utf-8")
-        elif args.format == "graph6":
-            # a literal graph6 string, or a mistyped file name: decoded now
-            text, literal = args.input, True
         else:
-            raise ParseError(f"input file {args.input!r} not found")
-    if args.format == "edgelist":
-        g = parse_edge_list(text)
-        return iter([(encode_graph6(g), None, g)])
+            text, literal = args.input, True
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
              if line.strip()]
     if not lines:
         raise ParseError("no graphs in input")
-    return iter(list(_decoded(lines))) if literal else _decoded(lines)
+    if not literal:
+        return _decoded(lines)
+    try:
+        return iter(list(_decoded(lines)))
+    except ParseError as exc:
+        raise ParseError(f"{args.input!r} is neither an existing file nor valid graph6: "
+                         f"{exc}") from None
 
 
 def _genspecs(texts: list[str]) -> Iterator[GenSpec]:
@@ -214,10 +215,11 @@ def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic
 def cmd_compare(args) -> int:
     save_dir = Path(args.save_counterexamples) if args.save_counterexamples else None
     inputs = collect_inputs(args)
-    # fail on an unwritable output path before any processing
+    # fail on an uncreatable directory or an unwritable output path before
+    # --out is truncated and before any processing
+    if save_dir is not None:
+        save_dir.mkdir(parents=True, exist_ok=True)
     with _open_out(args) as out:
-        if save_dir is not None:
-            save_dir.mkdir(parents=True, exist_ok=True)
         status = EXIT_OK
         records = skips = agreements = max_work_counter = 0
         for item in inputs:
@@ -349,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p, with_gen: bool):
         p.add_argument("input", nargs="?",
-                       help="graph6 string, file of graph6 lines, edge-list file, or - for stdin")
-        p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+                       help="graph6 string, file of graph6 lines, or - for stdin (default)")
         if with_gen:
             p.add_argument("--gen", action="append", default=[],
                            metavar="SPEC", help="generate graphs instead of reading input")

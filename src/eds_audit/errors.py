@@ -4,20 +4,13 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Malformed graph input.
+    """Malformed input; ``offset`` is a 0-based byte offset into graph6 text, if known."""
 
-    ``offset`` is a 0-based byte offset into the input text (graph6),
-    ``line`` a 1-based line number (edge lists); whichever applies is set.
-    """
-
-    def __init__(self, message: str, *, offset: int | None = None, line: int | None = None):
+    def __init__(self, message: str, *, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
-        if line is not None:
-            message = f"{message} (line {line})"
         super().__init__(message)
         self.offset = offset
-        self.line = line
 
 
 class CapacityError(RuntimeError):

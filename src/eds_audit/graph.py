@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs with neighborhood queries and graph6 / edge-list I/O.
+"""Immutable simple undirected graphs with neighborhood queries and graph6 I/O.
 
 Vertices are dense 0-based ids.  Candidate sets in the public API are
 ``frozenset`` objects over those ids (the ``VertexSet`` alias); the reduction
@@ -25,9 +25,8 @@ _G6_MIN = 63
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor sets.
 
-    Instances are immutable after construction, compare and hash by
-    ``(n, adj)``, and their neighborhood caches are safe to share across
-    concurrent readers.
+    Attributes cannot be assigned or deleted after construction; instances
+    compare and hash by ``(n, adj)``, and their caches fill on first use.
     """
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
@@ -225,40 +224,3 @@ def encode_graph6(g: Graph) -> str:
                 k = col + i
                 groups[k // 6] |= 32 >> k % 6
     return (bytes(head) + groups.translate(_G6_PLUS_63)).decode("ascii")
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: first line n, then one 'u v' per line."""
-    lines = text.splitlines()
-    body: list[tuple[int, str]] = [
-        (no, line.strip()) for no, line in enumerate(lines, 1) if line.strip()
-    ]
-    if not body:
-        raise ParseError("empty edge-list input", line=1)
-    first_no, first = body[0]
-    try:
-        n = int(first)
-    except ValueError:
-        raise ParseError(f"expected vertex count, got {first!r}", line=first_no) from None
-    if n < 0:
-        raise ParseError("vertex count must be nonnegative", line=first_no)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for no, line in body[1:]:
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", line=no)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line=no) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"endpoint out of range in edge {u} {v}", line=no)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=no)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u} {v}", line=no)
-        seen.add(key)
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)

@@ -17,7 +17,7 @@ from eds_audit.generators import gen_random_regular
 from eds_audit.graph import Graph, encode_graph6
 from eds_audit.records import replay_counterexample
 
-from .conftest import cycle, parse_record_line, path, petersen
+from .conftest import cycle, parse_record_line, path, petersen, two_triangles
 
 
 def run(capsys, *argv):
@@ -46,27 +46,35 @@ def test_decide_stdin(capsys, monkeypatch):
     assert docs[1]["certificate"] == [0, 3]
 
 
-def test_decide_edge_list_file(capsys, tmp_path):
-    p = tmp_path / "c6.txt"
-    p.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
-    code, out, _ = run(capsys, "decide", str(p), "--format", "edgelist")
-    assert code == 0
-    doc = out_lines(out)[0]
-    assert doc["verdict"] == "found" and len(doc["certificate"]) == 2
-
-
 def test_decide_precondition_rows(capsys, tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("3\n0 1\n1 2\n")  # path P_3: not regular
-    code, out, _ = run(capsys, "decide", str(p), "--format", "edgelist")
+    p = tmp_path / "bad.g6"
+    p.write_text("\n".join(["?", encode_graph6(path(3)), encode_graph6(two_triangles())]) + "\n")
+    code, out, _ = run(capsys, "decide", encode_graph6(path(3)))
     assert code == 2
     assert out_lines(out)[0]["error"] == "not-regular"
+    reasons = ["empty-graph", "not-regular", "disconnected"]
+    code, out, _ = run(capsys, "decide", str(p))
+    assert code == 2
+    assert [doc["error"] for doc in out_lines(out)] == reasons
+    code, out, _ = run(capsys, "compare", "--deterministic", str(p))
+    assert code == 0
+    *rows, summary = out_lines(out)
+    assert [(row["kind"], row["reason"]) for row in rows] == [("skip", r) for r in reasons]
+    assert summary["skips"] == 3 and summary["records"] == 0
 
 
 def test_decide_parse_error_exit(capsys):
     code, _, err = run(capsys, "decide", "B\x01")
     assert code == 2
     assert "invalid graph6 byte" in err
+
+
+def test_missing_file_is_named(capsys):
+    # a path that is no file is decoded as graph6, and the error says both
+    code, out, err = run(capsys, "decide", "grpahs.g6")
+    assert code == 2 and out == ""
+    assert "'grpahs.g6' is neither an existing file nor valid graph6" in err
+    assert "invalid graph6 byte 46" in err
 
 
 def test_decide_trace_flag(capsys, pet):
@@ -447,6 +455,14 @@ def test_input_errors_leave_out_file_untouched(capsys, tmp_path):
         code, _, err = run(capsys, "gen", "cycle:n=6", spec, "--out", str(out_path))
         assert code == 2 and "error" in err
         assert out_path.read_text() == "kept\n"
+    # a counterexample directory that cannot be made: its parent is a file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out_path.write_text("kept\n")
+    code, _, err = run(capsys, "compare", "Bw", "--save-counterexamples", str(afile / "x"),
+                       "--out", str(out_path))
+    assert code == 2 and "error" in err
+    assert out_path.read_text() == "kept\n"
 
 
 # modules a run has no use for: nothing runs in other processes, and hashlib

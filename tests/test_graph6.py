@@ -1,4 +1,4 @@
-"""graph6 and edge-list parsing/serialization, cross-checked against networkx."""
+"""graph6 parsing/serialization, cross-checked against networkx."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eds_audit.errors import ParseError
-from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_edge_list, parse_graph6
+from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 
 from .conftest import complete, cycle, hypercube, petersen
 
@@ -225,28 +225,6 @@ def test_roundtrip_large():
     from eds_audit.generators import gen_random_regular
     for g in (cycle(150), cycle(200), gen_random_regular(200, 3, 1)):
         assert parse_graph6(encode_graph6(g)) == g
-
-
-def test_edge_list_parses():
-    g = parse_edge_list("3\n0 1\n1 2\n0 2\n")
-    assert g == complete(3)
-    g = parse_edge_list("4\n\n0 1\n\n2 3\n")
-    assert sum(map(len, g.adj)) // 2 == 2
-
-
-def test_edge_list_errors():
-    with pytest.raises(ParseError, match="self-loop.*line 2"):
-        parse_edge_list("2\n0 0")
-    with pytest.raises(ParseError, match="duplicate.*line 3"):
-        parse_edge_list("4\n0 1\n0 1")
-    with pytest.raises(ParseError, match="out of range.*line 2"):
-        parse_edge_list("2\n0 2")
-    with pytest.raises(ParseError, match="expected 'u v'.*line 2"):
-        parse_edge_list("2\n0 1 2")
-    with pytest.raises(ParseError, match="vertex count"):
-        parse_edge_list("x\n0 1")
-    with pytest.raises(ParseError, match="empty"):
-        parse_edge_list("\n\n")
 
 
 @st.composite
