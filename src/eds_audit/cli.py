@@ -17,7 +17,9 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParseError
 from .generators import GenSpec, parse_genspecs
-from .graph import Graph, encode_graph6, is_connected, is_regular, parse_graph6
+from .graph import (
+    Graph, encode_graph6, graph6_size_prefix, is_connected, is_regular, parse_graph6,
+)
 from .oracle import solve_exact
 from .records import (
     FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, KIND_AUDIT, KIND_SKIP, KIND_SUMMARY,
@@ -43,8 +45,9 @@ def _print(line: str, out) -> None:
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    The input is stdin ("-" or none), an existing file, or else a literal
-    graph6 string.  Errors in the input source (input given with --gen, a bad
+    The input is stdin ("-" or none), an existing regular file, or else a
+    literal graph6 string (so a directory or "" is a literal that does not
+    decode).  Errors in the input source (input given with --gen, a bad
     --gen spec, a literal that does not decode, an empty input) are raised by
     this call, before the caller opens its output.
     Each graph of a file, stdin or --gen is then built or decoded right before
@@ -63,7 +66,7 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     else:
         path = Path(args.input)
         try:
-            is_file = path.exists()
+            is_file = path.is_file()
         except OSError:  # e.g. a literal graph6 string longer than a file name can be
             is_file = False
         if is_file:
@@ -72,15 +75,17 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
             text, literal = args.input, True
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
              if line.strip()]
+    if literal:
+        if len(lines) <= 1:  # one graph, or none: its error needs no line number
+            lines = [(None, lines[0][1] if lines else "")]
+        try:
+            return iter(list(_decoded(lines)))
+        except ParseError as exc:
+            raise ParseError(f"{args.input!r} is neither an existing file nor valid graph6: "
+                             f"{exc}") from None
     if not lines:
         raise ParseError("no graphs in input")
-    if not literal:
-        return _decoded(lines)
-    try:
-        return iter(list(_decoded(lines)))
-    except ParseError as exc:
-        raise ParseError(f"{args.input!r} is neither an existing file nor valid graph6: "
-                         f"{exc}") from None
+    return _decoded(lines)
 
 
 def _genspecs(texts: list[str]) -> Iterator[GenSpec]:
@@ -99,13 +104,23 @@ def _built(specs: Iterable[GenSpec]) -> Iterator[tuple[str, str, Graph] | SkipRe
         yield encode_graph6(g), spec.canonical(), g
 
 
-def _decoded(lines: list[tuple[int, str]]) -> Iterator[tuple[str, None, Graph]]:
+def _decoded(lines: list[tuple[int | None, str]]) -> Iterator[tuple[str, None, Graph]]:
+    """Decode each line; errors name its line number unless that is None.
+
+    A decoded line that has no surrounding whitespace and starts with the
+    canonical size prefix for its n is already the canonical encoding (the
+    payload of a given n is unique once parsing has checked its length and
+    padding), so it is quoted as given; any other line is re-encoded.
+    """
     for lineno, line in lines:
         try:
             g = parse_graph6(line)
         except ParseError as exc:
+            if lineno is None:
+                raise
             raise ParseError(f"line {lineno}: {exc}") from None
-        yield encode_graph6(g), None, g
+        canonical = not line[-1].isspace() and line.startswith(graph6_size_prefix(g.n))
+        yield line if canonical else encode_graph6(g), None, g
 
 
 def _open_out(args):

@@ -59,8 +59,19 @@ class Graph:
         return f"Graph(n={self.n}, adj={self.adj})"
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[frozenset[int], ...]) -> "Graph":
+        """A graph from ``adj`` without the per-edge checks of ``__init__``:
+        for callers whose construction already guarantees n = len(adj) >= 0
+        and simple, symmetric neighbour sets."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list, rejecting loops and duplicates."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,7 +82,7 @@ class Graph:
                 raise ValueError(f"duplicate edge {u}-{v}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
+        return cls._trusted(n, tuple(map(frozenset, nbrs)))
 
     @cached_property
     def closed_adj(self) -> tuple[frozenset[int], ...]:
@@ -151,7 +162,9 @@ def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional '>>graph6<<' header allowed).
 
     Python work is proportional to n plus the number of edges; the byte-range
-    checks and the search for nonzero groups run in the ``re`` engine.
+    checks and the search for nonzero groups run in the ``re`` engine.  Each
+    set bit is one edge i < j, so the neighbour sets it fills are simple and
+    symmetric by construction and the graph skips ``Graph``'s edge checks.
     """
     stripped = text.strip()
     base = text.index(stripped) if stripped else 0
@@ -188,7 +201,8 @@ def parse_graph6(text: str) -> Graph:
     if nbytes and data[end - 1] - _G6_MIN & ((1 << (6 * nbytes - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 payload", offset=base + end - 1)
 
-    edges = []
+    # filled in Graph.from_edges's order, so each set iterates as its does
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     j, col = 1, 0  # column j holds bits col .. col + j - 1
     for m in _G6_NONZERO.finditer(data, pos, end):
         at = m.start()
@@ -198,8 +212,21 @@ def parse_graph6(text: str) -> Graph:
             while k >= col + j:
                 col += j
                 j += 1
-            edges.append((k - col, j))
-    return Graph.from_edges(n, edges)
+            nbrs[k - col].add(j)
+            nbrs[j].add(k - col)
+    return Graph._trusted(n, tuple(map(frozenset, nbrs)))
+
+
+def graph6_size_prefix(n: int) -> str:
+    """The canonical graph6 vertex-count prefix for n: one byte for n <= 62,
+    else '~' and 3 bytes, else '~~' and 6 bytes."""
+    if n <= 62:
+        return chr(n + _G6_MIN)
+    if n <= 258047:
+        return "~" + "".join(chr(_G6_MIN + (n >> s & 63)) for s in (12, 6, 0))
+    if n <= 68719476735:
+        return "~~" + "".join(chr(_G6_MIN + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))
+    raise ValueError("graph too large for graph6")
 
 
 def encode_graph6(g: Graph) -> str:
@@ -208,14 +235,7 @@ def encode_graph6(g: Graph) -> str:
     Python work is proportional to n plus the number of edges.
     """
     n = g.n
-    if n <= 62:
-        head = [n + _G6_MIN]
-    elif n <= 258047:
-        head = [126] + [_G6_MIN + (n >> s & 63) for s in (12, 6, 0)]
-    elif n <= 68719476735:
-        head = [126, 126] + [_G6_MIN + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0)]
-    else:
-        raise ValueError("graph too large for graph6")
+    head = graph6_size_prefix(n)
     groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for j in range(1, n):
         col = j * (j - 1) // 2
@@ -223,4 +243,4 @@ def encode_graph6(g: Graph) -> str:
             if i < j:
                 k = col + i
                 groups[k // 6] |= 32 >> k % 6
-    return (bytes(head) + groups.translate(_G6_PLUS_63)).decode("ascii")
+    return head + groups.translate(_G6_PLUS_63).decode("ascii")

@@ -83,8 +83,8 @@ class TraceEvent(NamedTuple):
 
 
 class ProbeResult(NamedTuple):
-    """Outcome of probing one anchor: the reduced candidate set, drop log and
-    droppability-test count.
+    """Outcome of probing one anchor: the reduced candidate set, its drops as
+    'drop' events of stage 'probe', and the droppability-test count.
 
     ``tests`` is the rescan-from-front cost model: the tests a loop that
     rescans from the front after every drop would make, computed exactly
@@ -173,11 +173,13 @@ def _members(t: _Scan, cur: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _reduce(t: _Scan, cur: int, stale: int, stage: str,
-            events: list[TraceEvent]) -> tuple[int, int]:
+def _reduce(t: _Scan, cur: int, stale: int, log: list[int]) -> tuple[int, int]:
     """Drop filter to fixpoint on the candidate mask ``cur``; returns the
     fixpoint and the number of droppability tests a rescan from the front
-    after every drop makes.
+    after every drop makes.  Each drop appends its vertex and witness to
+    ``log``, which starts empty, so ``len(log) // 2`` drops in all;
+    ``_events`` turns a log into trace events, which only the callers that
+    keep the drops pay for.
 
     Only the vertices in ``stale`` can be droppable: all of ``cur``, or,
     when ``cur`` is a fixpoint less some deleted vertices, the ones whose
@@ -193,7 +195,6 @@ def _reduce(t: _Scan, cur: int, stale: int, stage: str,
     """
     vertex, far, nbr, reach = t.vertex, t.far, t.nbr, t.reach
     stale &= cur
-    logged = len(events)
     tests = 0
     while stale:
         low = stale & -stale
@@ -203,20 +204,25 @@ def _reduce(t: _Scan, cur: int, stale: int, stage: str,
             if not nbr[c] & rest:
                 cur ^= low
                 tests += (cur & (low - 1)).bit_count()
-                events.append(TraceEvent(KIND_DROP, v, c, stage))
+                log += v, c
                 stale |= reach[v] & cur
                 break
         stale ^= low
     # each drop also tests the dropped vertex itself
-    return cur, tests + len(events) - logged + cur.bit_count()
+    return cur, tests + len(log) // 2 + cur.bit_count()
 
 
-def _probe(g: Graph, t: _Scan, cur: int, anchor: int, stage: str,
-           events: list[TraceEvent]) -> tuple[int, int]:
+def _probe(g: Graph, t: _Scan, cur: int, anchor: int, log: list[int]) -> tuple[int, int]:
     """Delete ``ball[anchor]`` from the fixpoint ``cur`` and reduce; only
     the vertices whose rows meet the ball are stale."""
     stale = _union(t.reach, g.adj[anchor]) | _union(t.reach, g.second_lists[anchor])
-    return _reduce(t, cur & ~t.ball[anchor], stale, stage, events)
+    return _reduce(t, cur & ~t.ball[anchor], stale, log)
+
+
+def _events(log: list[int], stage: str) -> list[TraceEvent]:
+    """The 'drop' events of a ``_reduce`` log, labelled ``stage``."""
+    pairs = iter(log)
+    return [TraceEvent(KIND_DROP, v, c, stage) for v, c in zip(pairs, pairs)]
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
@@ -241,9 +247,9 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
         g._check_vertex(v)
     t = _scan(g, None)
     cur = _union(t.bit, a)
-    events: list[TraceEvent] = []
-    cur, _ = _reduce(t, cur, cur, STAGE_INITIAL, events)
-    return _members(t, cur), tuple(events)
+    log: list[int] = []
+    cur, _ = _reduce(t, cur, cur, log)
+    return _members(t, cur), tuple(_events(log, STAGE_INITIAL))
 
 
 def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
@@ -265,9 +271,9 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
     g._check_vertex(min(a))
     g._check_vertex(max(a))
     t = _scan(g, None)
-    events: list[TraceEvent] = []
-    cur, tests = _probe(g, t, _union(t.bit, a), anchor, STAGE_PROBE, events)
-    return ProbeResult(_members(t, cur), tuple(events), tests)
+    log: list[int] = []
+    cur, tests = _probe(g, t, _union(t.bit, a), anchor, log)
+    return ProbeResult(_members(t, cur), tuple(_events(log, STAGE_PROBE)), tests)
 
 
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
@@ -303,9 +309,10 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
         raise ValueError("decision procedure requires a connected graph")
 
     t = _scan(g, drop_order_seed)
-    trace: list[TraceEvent] = []
+    log: list[int] = []
     everything = (1 << g.n) - 1
-    cur, work = _reduce(t, everything, everything, STAGE_INITIAL, trace)
+    cur, work = _reduce(t, everything, everything, log)
+    trace = _events(log, STAGE_INITIAL)
     if not cur:
         return Decision(VERDICT_NONE, None, REASON_INITIAL_EMPTY, tuple(trace), work)
 
@@ -319,8 +326,8 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
             low = cands & -cands
             cands ^= low
             cand = t.vertex[low.bit_length() - 1]
-            drops: list[TraceEvent] = []
-            survivors, tests = _probe(g, t, cur, cand, STAGE_MAIN, drops)
+            drops: list[int] = []  # trace events only if this probe commits
+            survivors, tests = _probe(g, t, cur, cand, drops)
             work += tests
             if survivors:
                 break
@@ -329,7 +336,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
             reason = REASON_EXHAUSTED if committed else REASON_ALL_PROBES_EMPTY
             return Decision(VERDICT_NONE, None, reason, tuple(trace), work)
         trace.append(TraceEvent(KIND_COMMIT, cand, None, STAGE_MAIN))
-        trace.extend(drops)
+        trace += _events(drops, STAGE_MAIN)
         committed |= low
         cur = survivors
 

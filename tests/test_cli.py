@@ -14,7 +14,7 @@ import pytest
 import eds_audit.cli as cli
 from eds_audit import reduction
 from eds_audit.generators import gen_random_regular
-from eds_audit.graph import Graph, encode_graph6
+from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.records import replay_counterexample
 
 from .conftest import cycle, parse_record_line, path, petersen, two_triangles
@@ -70,11 +70,29 @@ def test_decide_parse_error_exit(capsys):
 
 
 def test_missing_file_is_named(capsys):
-    # a path that is no file is decoded as graph6, and the error says both
+    # a path that is no file is decoded as graph6, and the error says both;
+    # a one-line argument has no line number to give
     code, out, err = run(capsys, "decide", "grpahs.g6")
     assert code == 2 and out == ""
     assert "'grpahs.g6' is neither an existing file nor valid graph6" in err
     assert "invalid graph6 byte 46" in err
+    assert "line 1" not in err
+
+
+def test_directory_or_empty_argument_is_named(capsys, tmp_path):
+    # only a regular file is read as a file: "" (the current directory as a
+    # path) and a directory are literals that do not decode
+    out_path = tmp_path / "rows.jsonl"
+    for arg in ("", str(tmp_path)):
+        code, out, err = run(capsys, "decide", arg)
+        assert code == 2 and out == ""
+        assert f"error: {arg!r} is neither an existing file nor valid graph6" in err
+        assert "Errno" not in err and "line 1" not in err
+        for command in ("compare", "audit-facts"):
+            out_path.write_text("kept\n")
+            code, _, err = run(capsys, command, "--out", str(out_path), arg)
+            assert code == 2 and f"{arg!r} is neither" in err
+            assert out_path.read_text() == "kept\n"
 
 
 def test_decide_trace_flag(capsys, pet):
@@ -384,6 +402,35 @@ def test_long_literal_graph6(capsys):
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert [doc["graph6"] for doc in out_lines(out)] == [text]
+
+
+def g6_size_forms(n: int) -> list[str]:
+    """Vertex-count prefixes graph6 accepts for n: the canonical one, then
+    the longer 4-byte and 8-byte forms where n fits them."""
+    longer = ["~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))] if n <= 62 else []
+    return longer + ["~~" + "".join(chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))]
+
+
+@pytest.mark.parametrize("command", [
+    ["decide"], ["compare", "--deterministic"], ["oracle", "--max-n", "200"], ["audit-facts"],
+])
+def test_rows_quote_the_canonical_line(capsys, tmp_path, command):
+    # a canonical line is quoted as given; any other spelling of the same
+    # graph (header, surrounding whitespace, a longer size prefix) is
+    # quoted re-encoded
+    canonical = [encode_graph6(g) for g in (cycle(6), petersen(), cycle(64), cycle(120))]
+    lines = list(canonical)
+    for text in canonical:
+        n = parse_graph6(text).n
+        payload = text[1:] if n <= 62 else text[4:]
+        lines += [GRAPH6_HEADER + text, f" {text}\t", *(p + payload for p in g6_size_forms(n))]
+    p = tmp_path / "in.g6"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, *command, str(p))
+    assert err == ""
+    quoted = [row["graph6"] for row in out_lines(out) if row.get("kind") != "summary"]
+    assert quoted == [encode_graph6(parse_graph6(line)) for line in lines]
+    assert quoted[:len(canonical)] == canonical
 
 
 def test_oracle_deep_search_iterative(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from eds_audit.graph import Graph, is_connected, is_regular
+from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 
 from .conftest import bfs_distances, complete, cycle, hypercube, path, petersen, two_triangles
 
@@ -23,12 +23,40 @@ def test_construction_validates():
         Graph(2, (frozenset({1}), frozenset()))
     with pytest.raises(ValueError, match="nonnegative"):
         Graph(-1, ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_edges(-1, [])
     with pytest.raises(ValueError, match="length"):
         Graph(2, (frozenset(),))
     with pytest.raises(ValueError, match="self-loop"):
         Graph(1, (frozenset({0}),))
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, (frozenset({2}), frozenset()))
+
+
+@st.composite
+def edge_lists(draw, max_n=40):
+    """n and a list of distinct edges, each in either orientation, in any order."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(chosen, flips)]
+
+
+@given(edge_lists())
+def test_unchecked_constructions_equal_the_validated_graph(case):
+    # from_edges and parse_graph6 skip Graph's per-edge checks; what they
+    # build must be the graph that the checked constructor accepts
+    n, edges = case
+    adj = tuple(frozenset({v for u, v in edges if u == x} | {u for u, v in edges if v == x})
+                for x in range(n))
+    validated = Graph(n, adj)
+    g = Graph.from_edges(n, edges)
+    assert g == validated and type(g.adj) is tuple
+    assert all(type(nbrs) is frozenset for nbrs in g.adj)
+    decoded = parse_graph6(encode_graph6(g))
+    assert decoded == validated and type(decoded.adj) is tuple
+    assert all(type(nbrs) is frozenset for nbrs in decoded.adj)
 
 
 def test_graph_is_an_immutable_value():

@@ -390,8 +390,8 @@ class TestSoundness:
 # Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
 # per test, and a _reduce that re-sorts the candidates after every drop and
 # tests every candidate.  The bitmask _reduce, which tests only stale
-# vertices, must reproduce its tests, drops and witnesses; the drop-rule
-# tests above state the rule on the same reference.
+# vertices, must reproduce its tests and its flat log of drops and
+# witnesses; the drop-rule tests above state the rule on the same reference.
 
 
 def reference_drop_witness(g, candidates, v):
@@ -405,7 +405,7 @@ def reference_drop_witness(g, candidates, v):
     return None
 
 
-def reference_reduce(g, current, order, stage, events):
+def reference_reduce(g, current, order, log):
     key = None if order is None else order.__getitem__
     tests = 0
     while True:
@@ -414,7 +414,7 @@ def reference_reduce(g, current, order, stage, events):
             c = reference_drop_witness(g, current, v)
             if c is not None:
                 current.discard(v)
-                events.append(TraceEvent(KIND_DROP, v, c, stage))
+                log += v, c
                 break
         else:
             return tests
@@ -428,10 +428,10 @@ def on_reference(fn, g, *args, **kwargs):
     """Call ``fn(g, ...)`` with the reference reduction behind the _reduce
     seam, which reads only the scan order and the candidates off the
     kernel's mask and ignores ``stale``."""
-    def seam(t, cur, stale, stage, events):
+    def seam(t, cur, stale, log):
         order = [b.bit_length() - 1 for b in t.bit]
         current = {v for v in range(g.n) if cur & t.bit[v]}
-        tests = reference_reduce(g, current, order, stage, events)
+        tests = reference_reduce(g, current, order, log)
         return as_mask(t, current), tests
 
     with pytest.MonkeyPatch.context() as mp:
@@ -446,9 +446,9 @@ def fixpoint_in(g, a, seed):
     if seed is None:
         return reduce_to_fixpoint(g, a)
     t = reduction._scan(g, seed)
-    events = []
-    cur, _ = reduction._reduce(t, as_mask(t, a), as_mask(t, a), STAGE_INITIAL, events)
-    return reduction._members(t, cur), tuple(events)
+    log = []
+    cur, _ = reduction._reduce(t, as_mask(t, a), as_mask(t, a), log)
+    return reduction._members(t, cur), tuple(reduction._events(log, STAGE_INITIAL))
 
 
 def probe_in(g, a, anchor, seed):
@@ -457,9 +457,10 @@ def probe_in(g, a, anchor, seed):
     if seed is None:
         return probe(g, a, anchor)
     t = reduction._scan(g, seed)
-    events = []
-    cur, tests = reduction._probe(g, t, as_mask(t, a), anchor, STAGE_PROBE, events)
-    return ProbeResult(reduction._members(t, cur), tuple(events), tests)
+    log = []
+    cur, tests = reduction._probe(g, t, as_mask(t, a), anchor, log)
+    return ProbeResult(reduction._members(t, cur), tuple(reduction._events(log, STAGE_PROBE)),
+                       tests)
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +482,32 @@ def test_fixpoint_and_probe_trace_identity(identity_corpus):
             assert got == on_reference(probe, g, baseline, anchor), (g, anchor)
 
 
+def test_drop_events_carry_their_stage(identity_corpus):
+    # the kernel logs bare (vertex, witness) pairs and each caller labels
+    # them: replay decide's trace with the public calls, whose drops are
+    # labelled initial-reduction and probe, and check every drop's label
+    stages = set()
+    for g in identity_corpus:
+        fixpoint, initial = reduce_to_fixpoint(g, everything(g))
+        assert all(e.stage == STAGE_INITIAL for e in initial)
+        trace = decide_eds(g).trace
+        assert trace[:len(initial)] == initial
+        rest, cur = list(trace[len(initial):]), fixpoint
+        while rest:
+            event = rest.pop(0)
+            assert event.kind in (KIND_COMMIT, KIND_PROBE_EMPTY), (g, event)
+            result = probe(g, cur, event.vertex)
+            assert all(e.stage == STAGE_PROBE for e in result.drops)
+            stages.update(e.stage for e in result.drops)
+            if event.kind == KIND_COMMIT:
+                drops = [e._replace(stage=STAGE_MAIN) for e in result.drops]
+                assert rest[:len(drops)] == drops, (g, event)
+                del rest[:len(drops)]
+                cur = result.survivors
+        stages.update(e.stage for e in trace if e.kind == KIND_DROP)
+    assert stages == {STAGE_INITIAL, STAGE_MAIN, STAGE_PROBE}
+
+
 @given(graph_and_set(max_n=12))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_reference_on_arbitrary_graphs(case):
@@ -489,15 +516,16 @@ def test_kernel_matches_reference_on_arbitrary_graphs(case):
     g, a = case
     for seed in (None, 1):
         t = reduction._scan(g, seed)
-        got_events, want, want_events = [], set(a), []
-        got, got_tests = reduction._reduce(t, as_mask(t, a), as_mask(t, a), STAGE_INITIAL,
-                                           got_events)
+        got_log, want, want_log = [], set(a), []
+        got, got_tests = reduction._reduce(t, as_mask(t, a), as_mask(t, a), got_log)
         order = None if seed is None else rank_permutation(g.n, seed)
-        want_tests = reference_reduce(g, want, order, STAGE_INITIAL, want_events)
-        assert (got, got_events, got_tests) == \
-            (as_mask(t, want), want_events, want_tests), (g, a, seed)
+        want_tests = reference_reduce(g, want, order, want_log)
+        assert (got, got_log, got_tests) == \
+            (as_mask(t, want), want_log, want_tests), (g, a, seed)
         fixpoint = frozenset(want)
-        assert fixpoint_in(g, a, seed) == (fixpoint, tuple(got_events))
+        assert fixpoint_in(g, a, seed) == \
+            (fixpoint, tuple(TraceEvent(KIND_DROP, v, c, STAGE_INITIAL)
+                             for v, c in zip(want_log[::2], want_log[1::2])))
         for base in (fixpoint, fixpoint_in(g, everything(g), seed)[0]):
             for anchor in sorted(base):
                 assert probe_in(g, base, anchor, seed) == \
