@@ -9,7 +9,7 @@ from .generators import (
 from .graph import Graph, VertexSet, encode_graph6, is_connected, is_regular, parse_graph6
 from .oracle import OracleReport, solve_exact
 from .reduction import (
-    Decision, ProbeResult, TraceEvent, decide_eds, probe,
+    Decision, ProbeResult, TraceEvent, decide_eds, probe, probe_each,
     reduce_to_fixpoint, work_budget,
 )
 
@@ -21,6 +21,6 @@ __all__ = [
     "decide_eds", "encode_graph6", "gen_circulant", "gen_complete",
     "gen_cycle", "gen_hypercube", "gen_petersen", "gen_random_regular",
     "is_connected", "is_regular", "parse_genspec", "parse_genspecs",
-    "parse_graph6", "probe", "reduce_to_fixpoint", "solve_exact", "verify_eds",
-    "work_budget",
+    "parse_graph6", "probe", "probe_each", "reduce_to_fixpoint", "solve_exact",
+    "verify_eds", "work_budget",
 ]

@@ -276,6 +276,29 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
     return ProbeResult(_members(t, cur), tuple(_events(log, STAGE_PROBE)), tests)
 
 
+def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
+    """``[probe(g, a, x).survivors for x in sorted(a)]``, with the checks
+    and the mask of ``a`` made once, and no trace events built.
+
+    ``a`` must be a fixpoint of the drop filter, as for ``probe``.
+    """
+    if not a:
+        return []
+    g._check_vertex(min(a))
+    g._check_vertex(max(a))
+    t = _scan(g, None)
+    base = todo = _union(t.bit, a)
+    log: list[int] = []
+    out = []
+    while todo:  # in the default order, rank i holds vertex i
+        low = todo & -todo
+        todo ^= low
+        log.clear()
+        cur, _ = _probe(g, t, base, low.bit_length() - 1, log)
+        out.append(_members(t, cur))
+    return out
+
+
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     """Run the decision procedure.
 

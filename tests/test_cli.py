@@ -13,11 +13,14 @@ import pytest
 
 import eds_audit.cli as cli
 from eds_audit import reduction
-from eds_audit.generators import gen_random_regular
+from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
+from eds_audit.oracle import solve_exact
 from eds_audit.records import replay_counterexample
+from eds_audit.reduction import probe, reduce_to_fixpoint
 
 from .conftest import cycle, parse_record_line, path, petersen, two_triangles
+from .test_acceptance import criterion1_corpus
 
 
 def run(capsys, *argv):
@@ -354,7 +357,7 @@ def test_audit_facts_generator_capacity_skip_continues(capsys):
     assert [(r["reason"], r["graph6"], r["n"], r["genspec"]) for r in rows[:2]] == [
         ("capacity", "", 14, f"random-regular:n=14,r=6,seed={seed}") for seed in (1, 2)]
     assert rows[2]["n"] == 9 and rows[2]["sound"] is True
-    assert rows[3] == {"kind": "summary", "total": 1, "sound": 1}
+    assert rows[3] == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 0}
 
 
 def audit_c6() -> tuple[str, None, Graph]:
@@ -376,17 +379,63 @@ def test_audit_reports_a_filter_that_drops_a_solution_vertex():
 
 def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
     # a broken probe: anchor 3 lies in the solution {0, 3}, yet probes empty
-    real = cli.probe
+    real = cli.probe_each
 
-    def broken(g, a, anchor, **kwargs):
-        result = real(g, a, anchor, **kwargs)
-        return result._replace(survivors=frozenset()) if anchor == 3 else result
+    def broken(g, a):
+        return [frozenset() if x == 3 else s for x, s in zip(sorted(a), real(g, a))]
 
-    monkeypatch.setattr(cli, "probe", broken)
+    monkeypatch.setattr(cli, "probe_each", broken)
     row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
     assert row["filter_soundness_violations"] == []
     assert row["probe_soundness_violations"] == [{"anchor": 3}]
+
+
+def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
+    """The three violation lists of an audit row, by one public ``probe`` per
+    fixpoint vertex, run on every graph whether or not it has an EDS."""
+    solutions = solve_exact(g, enumerate_all=True, max_n=g.n).solutions
+    union = frozenset().union(*solutions)
+    baseline, drops = reduce_to_fixpoint(g, frozenset(range(g.n)))
+    filter_violations = [{"vertex": e.vertex, "witness": e.witness}
+                         for e in drops if e.vertex in union]
+    probe_violations, converse_violations = [], []
+    for anchor in sorted(baseline):
+        result = probe(g, baseline, anchor)
+        if not result.survivors:
+            if anchor in union:
+                probe_violations.append({"anchor": anchor})
+        elif solutions and anchor not in union:
+            converse_violations.append({"anchor": anchor,
+                                        "survivors": sorted(result.survivors)})
+    return filter_violations, probe_violations, converse_violations
+
+
+def test_audit_rows_match_the_reference_audit():
+    graphs = criterion1_corpus()
+    graphs += [gen_petersen(n, k) for n in range(3, 11) for k in range(1, (n + 1) // 2)]
+    # seed 259 has converse findings; n=16 seed 2 has no EDS, yet some of
+    # its baseline probes are nonempty, which no row may report
+    graphs += [parse_genspec(f"random-regular:{spec}").build()
+               for spec in ("n=12,r=3,seed=259", "n=16,r=3,seed=2")]
+    for g in graphs:
+        row = cli._audit_one((encode_graph6(g), None, g), cli.AUDIT_DEFAULT_MAX_N)
+        got = (row["filter_soundness_violations"], row["probe_soundness_violations"],
+               row["probe_converse_violations"])
+        assert got == reference_audit_lists(g), encode_graph6(g)
+        assert row["sound"] is (not got[0] and not got[1])
+
+
+def test_audit_converse_findings_pinned(capsys):
+    code, out, _ = run(capsys, "audit-facts", "--gen", "random-regular:n=12,r=3,seed=259")
+    assert code == 0
+    row, summary = out_lines(out)
+    assert row["graph6"] == "K@U_?SRWe?O`" and row["eds_count"] == 2
+    assert row["probe_converse_violations"] == [
+        {"anchor": 0, "survivors": [0, 3, 4, 6, 9]},
+        {"anchor": 11, "survivors": [3, 4, 6, 9, 11]},
+    ]
+    assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 
 def test_input_and_gen_conflict(capsys):

@@ -17,7 +17,7 @@ from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
     STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, ProbeResult, TraceEvent, decide_eds,
-    probe, reduce_to_fixpoint, work_budget,
+    probe, probe_each, reduce_to_fixpoint, work_budget,
 )
 from eds_audit.rng import rank_permutation
 
@@ -632,6 +632,24 @@ def test_probe_rejects_out_of_range_candidates(c6):
             probe(c6, a, 0)
         with pytest.raises(ValueError, match="out of range"):
             reduce_to_fixpoint(c6, a)
+        with pytest.raises(ValueError, match="out of range"):
+            probe_each(c6, a)
+
+
+@given(graph_and_set(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_probe_each_matches_probe(case):
+    # on fixpoints of V, of a random subset and of the empty set
+    g, a = case
+    for base in (reduce_to_fixpoint(g, everything(g))[0], reduce_to_fixpoint(g, a)[0],
+                 frozenset()):
+        assert probe_each(g, base) == [probe(g, base, x).survivors for x in sorted(base)], \
+            (g, base)
+        for stray in (-1, g.n):
+            with pytest.raises(ValueError, match="out of range"):
+                probe_each(g, base | {stray})
+            with pytest.raises(ValueError, match="out of range"):
+                probe(g, base | {stray}, stray)
 
 
 def test_drop_tables_match_their_definitions():
