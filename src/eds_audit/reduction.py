@@ -32,7 +32,6 @@ from .graph import Graph, VertexSet, is_connected, is_regular
 from .rng import rank_permutation
 
 STAGE_INITIAL = "initial-reduction"
-STAGE_PROBE = "probe"
 STAGE_MAIN = "main-loop"
 
 KIND_DROP = "drop"
@@ -47,7 +46,7 @@ REASON_ALL_PROBES_EMPTY = "all-probes-empty"
 REASON_EXHAUSTED = "candidates-exhausted"
 
 # Work bound, in droppability tests of the rescan-from-front cost model
-# (ProbeResult.tests), for decide_eds on a connected r-regular graph with n
+# (``_reduce``'s count), for decide_eds on a connected r-regular graph with n
 # vertices.  Proof.  One _reduce over m <= n candidates with k drops counts
 # at most m - 1 tests before each drop, one for the dropped vertex and m - k
 # at the fixpoint: k*m + m - k <= m^2 <= n^2.  Each round probes at most
@@ -82,28 +81,14 @@ class TraceEvent(NamedTuple):
     stage: str
 
 
-class ProbeResult(NamedTuple):
-    """Outcome of probing one anchor: the reduced candidate set, its drops as
-    'drop' events of stage 'probe', and the droppability-test count.
-
-    ``tests`` is the rescan-from-front cost model: the tests a loop that
-    rescans from the front after every drop would make, computed exactly
-    from the drop positions.  The kernel itself tests only stale vertices.
-    """
-
-    survivors: frozenset[int]
-    drops: tuple[TraceEvent, ...]
-    tests: int
-
-
 class Decision(NamedTuple):
     """Verdict of the decision procedure plus its full audit trail.
 
     ``certificate`` is set for 'found' (always verified), ``reason`` for
     'none-exists'.
     ``work_counter`` counts droppability tests across the whole run in the
-    rescan-from-front cost model (see ``ProbeResult.tests``): the initial
-    reduction's count plus ``tests`` of every probe, rejected ones included.
+    rescan-from-front cost model (see ``_reduce``): the initial reduction's
+    count plus the count of every probe, rejected ones included.
     """
 
     verdict: str
@@ -225,6 +210,17 @@ def _events(log: list[int], stage: str) -> list[TraceEvent]:
     return [TraceEvent(KIND_DROP, v, c, stage) for v, c in zip(pairs, pairs)]
 
 
+def _candidates(g: Graph, a: VertexSet) -> tuple[_Scan, int]:
+    """The ascending-id tables and the mask of ``a``.  The kernel indexes its
+    tables without checks, where -1 would alias n - 1, so stray ids are
+    rejected here: checking ``min(a)`` and ``max(a)`` checks every id."""
+    if a:
+        g._check_vertex(min(a))
+        g._check_vertex(max(a))
+    t = _scan(g, None)
+    return t, _union(t.bit, a)
+
+
 def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
     """Apply the drop filter until no vertex of ``a`` qualifies, scanning in
     ascending id.
@@ -243,18 +239,15 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
     in F2 either.  Hence F2 is a subset of F1 = a - {v1..vk}, and by symmetry
     F1 = F2.
     """
-    for v in a:
-        g._check_vertex(v)
-    t = _scan(g, None)
-    cur = _union(t.bit, a)
+    t, cur = _candidates(g, a)
     log: list[int] = []
     cur, _ = _reduce(t, cur, cur, log)
     return _members(t, cur), tuple(_events(log, STAGE_INITIAL))
 
 
-def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
-    """Delete N(anchor) and the distance-2 vertices of anchor from ``a``, then
-    reduce to a fixpoint.
+def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
+    """Delete N(anchor) and the distance-2 vertices of anchor from ``a``,
+    reduce to a fixpoint, and return the survivors.
 
     ``a`` must be a fixpoint of the drop filter, such as ``decide_eds``'s
     current set or the result of ``reduce_to_fixpoint``: only the vertices
@@ -264,30 +257,26 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> ProbeResult:
     Empty survivors certify the anchor belongs to no efficient dominating set
     contained in ``a`` (sound); nonempty survivors decide nothing by
     themselves.
+
+    No CLI path calls ``probe`` (``audit-facts`` uses ``probe_each``); it
+    stays because ``bench/spans.py`` wraps ``reduction.probe`` by name, and
+    goes when that span does.
     """
     if anchor not in a:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
-    # the kernel indexes its tables without checks, so reject stray ids here
-    g._check_vertex(min(a))
-    g._check_vertex(max(a))
-    t = _scan(g, None)
-    log: list[int] = []
-    cur, tests = _probe(g, t, _union(t.bit, a), anchor, log)
-    return ProbeResult(_members(t, cur), tuple(_events(log, STAGE_PROBE)), tests)
+    t, cur = _candidates(g, a)
+    cur, _ = _probe(g, t, cur, anchor, [])
+    return _members(t, cur)
 
 
 def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
-    """``[probe(g, a, x).survivors for x in sorted(a)]``, with the checks
-    and the mask of ``a`` made once, and no trace events built.
+    """``[probe(g, a, x) for x in sorted(a)]``, with the checks and the mask
+    of ``a`` made once.
 
     ``a`` must be a fixpoint of the drop filter, as for ``probe``.
     """
-    if not a:
-        return []
-    g._check_vertex(min(a))
-    g._check_vertex(max(a))
-    t = _scan(g, None)
-    base = todo = _union(t.bit, a)
+    t, base = _candidates(g, a)
+    todo = base
     log: list[int] = []
     out = []
     while todo:  # in the default order, rank i holds vertex i

@@ -17,10 +17,11 @@ from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
 from eds_audit.records import replay_counterexample
-from eds_audit.reduction import probe, reduce_to_fixpoint
+from eds_audit.reduction import reduce_to_fixpoint
 
 from .conftest import cycle, parse_record_line, path, petersen, two_triangles
 from .test_acceptance import criterion1_corpus
+from .test_reduction import probe_in
 
 
 def run(capsys, *argv):
@@ -392,7 +393,7 @@ def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
 
 
 def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
-    """The three violation lists of an audit row, by one public ``probe`` per
+    """The three violation lists of an audit row, by one kernel probe per
     fixpoint vertex, run on every graph whether or not it has an EDS."""
     solutions = solve_exact(g, enumerate_all=True, max_n=g.n).solutions
     union = frozenset().union(*solutions)
@@ -401,13 +402,12 @@ def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
                          for e in drops if e.vertex in union]
     probe_violations, converse_violations = [], []
     for anchor in sorted(baseline):
-        result = probe(g, baseline, anchor)
-        if not result.survivors:
+        survivors, _, _ = probe_in(g, baseline, anchor)
+        if not survivors:
             if anchor in union:
                 probe_violations.append({"anchor": anchor})
         elif solutions and anchor not in union:
-            converse_violations.append({"anchor": anchor,
-                                        "survivors": sorted(result.survivors)})
+            converse_violations.append({"anchor": anchor, "survivors": sorted(survivors)})
     return filter_violations, probe_violations, converse_violations
 
 

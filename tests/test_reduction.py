@@ -12,12 +12,13 @@ from eds_audit import reduction
 from eds_audit.eds import verify_eds
 from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, parse_graph6
+from eds_audit.oracle import solve_exact
 from eds_audit.records import json_line
 from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
-    REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN,
-    STAGE_PROBE, VERDICT_FOUND, VERDICT_NONE, ProbeResult, TraceEvent, decide_eds,
-    probe, probe_each, reduce_to_fixpoint, work_budget,
+    REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN, VERDICT_FOUND,
+    VERDICT_NONE, TraceEvent, decide_eds, probe, probe_each, reduce_to_fixpoint,
+    work_budget,
 )
 from eds_audit.rng import rank_permutation
 
@@ -136,20 +137,18 @@ def test_fixpoint_is_order_independent(case):
 
 class TestProbe:
     def test_c6_anchor_0(self, c6):
-        res = probe(c6, everything(c6), 0)
-        assert res.survivors == {0, 3}
-        assert res.drops == ()
+        assert probe(c6, everything(c6), 0) == {0, 3}
+        assert probe_in(c6, everything(c6), 0)[1] == []
 
     def test_c5_probes_empty(self, c5):
-        res = probe(c5, everything(c5), 0)
-        assert res.survivors == frozenset()
+        assert probe(c5, everything(c5), 0) == frozenset()
+        survivors, log, _ = probe_in(c5, everything(c5), 0)
+        assert survivors == frozenset()
         # anchor 0 itself became droppable with witness 2 after the ball left
-        assert any(e.vertex == 0 and e.witness == 2 for e in res.drops)
-        assert all(e.stage == STAGE_PROBE for e in res.drops)
+        assert (0, 2) in zip(log[::2], log[1::2])
 
     def test_k4_anchor_survives(self, k4):
-        res = probe(k4, everything(k4), 0)
-        assert res.survivors == {0}
+        assert probe(k4, everything(k4), 0) == {0}
 
     def test_requires_membership(self, c6):
         with pytest.raises(ValueError, match="not in the candidate set"):
@@ -158,10 +157,10 @@ class TestProbe:
     def test_survivors_within_input(self):
         for g in (cycle(9), hypercube(3), petersen()):
             for anchor in range(g.n):
-                res = probe(g, everything(g), anchor)
-                assert res.survivors <= everything(g)
+                survivors = probe(g, everything(g), anchor)
+                assert survivors <= everything(g)
                 ball = g.adj[anchor] | set(g.second_lists[anchor])
-                assert not res.survivors & ball
+                assert not survivors & ball
 
 
 class TestDecide:
@@ -364,8 +363,7 @@ class TestSoundness:
             solutions = all_eds_bruteforce(g)
             final, _ = reduce_to_fixpoint(g, everything(g))
             for anchor in sorted(final):
-                res = probe(g, final, anchor)
-                if not res.survivors:
+                if not probe(g, final, anchor):
                     assert all(anchor not in s for s in solutions), (g, anchor)
 
     def test_probe_keeps_solutions_containing_anchor(self):
@@ -373,8 +371,7 @@ class TestSoundness:
             final, _ = reduce_to_fixpoint(g, everything(g))
             for s in all_eds_bruteforce(g):
                 for anchor in sorted(s):
-                    res = probe(g, final, anchor)
-                    assert s <= res.survivors, (g, s, anchor)
+                    assert s <= probe(g, final, anchor), (g, s, anchor)
 
     def test_anchor_survives_nonempty_probes_on_corpus(self):
         # empirical companion to the committed-anchor bookkeeping: across the
@@ -382,9 +379,9 @@ class TestSoundness:
         for g in self.corpus():
             final, _ = reduce_to_fixpoint(g, everything(g))
             for anchor in sorted(final):
-                res = probe(g, final, anchor)
-                if res.survivors:
-                    assert anchor in res.survivors
+                survivors = probe(g, final, anchor)
+                if survivors:
+                    assert anchor in survivors
 
 
 # Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
@@ -451,16 +448,14 @@ def fixpoint_in(g, a, seed):
     return reduction._members(t, cur), tuple(reduction._events(log, STAGE_INITIAL))
 
 
-def probe_in(g, a, anchor, seed):
-    """``probe(g, a, anchor)`` scanned in the order of ``seed``, as
-    ``fixpoint_in``."""
-    if seed is None:
-        return probe(g, a, anchor)
+def probe_in(g, a, anchor, seed=None):
+    """The kernel's probe of ``anchor`` in ``a``, scanned in ascending id
+    (``seed`` None) or in the order of ``seed``: the survivors, the flat
+    (vertex, witness) drop log and the rescan test count."""
     t = reduction._scan(g, seed)
     log = []
     cur, tests = reduction._probe(g, t, as_mask(t, a), anchor, log)
-    return ProbeResult(reduction._members(t, cur), tuple(reduction._events(log, STAGE_PROBE)),
-                       tests)
+    return reduction._members(t, cur), log, tests
 
 
 @pytest.fixture(scope="module")
@@ -471,21 +466,23 @@ def identity_corpus():
 
 
 def test_fixpoint_and_probe_trace_identity(identity_corpus):
-    # ProbeResult equality covers survivors, drop log and test count
+    # probe_in's triple covers survivors, drop log and test count
     for g in identity_corpus:
         for seed in (None, 1, 2):
             got = fixpoint_in(g, everything(g), seed)
             assert got == on_reference(fixpoint_in, g, everything(g), seed)
         baseline, _ = reduce_to_fixpoint(g, everything(g))
         for anchor in sorted(baseline):
-            got = probe(g, baseline, anchor)
-            assert got == on_reference(probe, g, baseline, anchor), (g, anchor)
+            got = probe_in(g, baseline, anchor)
+            assert got == on_reference(probe_in, g, baseline, anchor), (g, anchor)
+            assert probe(g, baseline, anchor) == got[0], (g, anchor)
 
 
 def test_drop_events_carry_their_stage(identity_corpus):
     # the kernel logs bare (vertex, witness) pairs and each caller labels
-    # them: replay decide's trace with the public calls, whose drops are
-    # labelled initial-reduction and probe, and check every drop's label
+    # them: replay decide's trace with reduce_to_fixpoint, whose drops are
+    # labelled initial-reduction, and the kernel's probe, and check every
+    # main-loop drop against its committed probe's log
     stages = set()
     for g in identity_corpus:
         fixpoint, initial = reduce_to_fixpoint(g, everything(g))
@@ -496,16 +493,15 @@ def test_drop_events_carry_their_stage(identity_corpus):
         while rest:
             event = rest.pop(0)
             assert event.kind in (KIND_COMMIT, KIND_PROBE_EMPTY), (g, event)
-            result = probe(g, cur, event.vertex)
-            assert all(e.stage == STAGE_PROBE for e in result.drops)
-            stages.update(e.stage for e in result.drops)
+            survivors, log, _ = probe_in(g, cur, event.vertex)
             if event.kind == KIND_COMMIT:
-                drops = [e._replace(stage=STAGE_MAIN) for e in result.drops]
+                drops = [TraceEvent(KIND_DROP, v, c, STAGE_MAIN)
+                         for v, c in zip(log[::2], log[1::2])]
                 assert rest[:len(drops)] == drops, (g, event)
                 del rest[:len(drops)]
-                cur = result.survivors
+                cur = survivors
         stages.update(e.stage for e in trace if e.kind == KIND_DROP)
-    assert stages == {STAGE_INITIAL, STAGE_MAIN, STAGE_PROBE}
+    assert stages == {STAGE_INITIAL, STAGE_MAIN}
 
 
 @given(graph_and_set(max_n=12))
@@ -614,6 +610,58 @@ def test_isomorphic_twin_refutes_none_exists():
     assert verify_eds(twin, {phi[v] for v in found.certificate.members})
 
 
+def gp_found_set(n):
+    """G(n): the odd k for which decide finds an EDS on GP(n,k), 4 | n."""
+    rule = {1, 3, 5, n // 2 - 1}
+    if n % 8 == 4:
+        rule.add(n // 4)
+    if n % 3 == 0:
+        rule |= {n // 3 - 1, n // 3 + 1}
+    else:
+        rule.add((n + 1) // 3 if (n + 1) % 3 == 0 else (n - 1) // 3)
+    return rule
+
+
+def gp_rule_graphs(max_n):
+    """(n, k) of every GP(n,k) with 8 <= n <= max_n, 4 | n and k odd."""
+    return [(n, k) for n in range(8, max_n + 1, 4) for k in range(1, n // 2, 2)]
+
+
+def test_gp_verdict_rule():
+    """decide_eds finds an EDS on GP(n,k), 4 | n and k odd, exactly when k
+    is in G(n), though every such graph has one.  The mechanism: the first
+    commit is outer 0; a success commits outer 4 next, a failure commits
+    outer 3 next and ends candidates-exhausted."""
+    outcomes = {VERDICT_FOUND: 0, VERDICT_NONE: 0}
+    graphs = gp_rule_graphs(128)
+    assert len(graphs) == 527
+    for n, k in graphs:
+        d = decide_eds(gen_petersen(n, k))
+        outcomes[d.verdict] += 1
+        assert (d.verdict == VERDICT_FOUND) == (k in gp_found_set(n)), (n, k)
+        if d.verdict == VERDICT_FOUND:
+            assert d.committed[:2] == (0, 4), (n, k)
+        else:
+            assert d.committed[:2] == (0, 3), (n, k)
+            assert d.reason == REASON_EXHAUSTED, (n, k)
+    assert outcomes == {VERDICT_FOUND: 171, VERDICT_NONE: 356}
+
+
+def test_gp_eds_through_outer_0():
+    """Every GP(n,k) with 4 | n, k odd and n <= 48 has exactly 4 EDSs, and
+    exactly one holds outer 0: outer 4i with inner 4i + 2 (id n + 4i + 2),
+    which avoids outer 3.  So committing 3 after 0 rules out 'found'."""
+    graphs = gp_rule_graphs(48)
+    assert len(graphs) == 77
+    for n, k in graphs:
+        solutions = solve_exact(gen_petersen(n, k), enumerate_all=True).solutions
+        assert len(solutions) == 4, (n, k)
+        through_0 = [s for s in solutions if 0 in s]
+        assert through_0 == [frozenset(range(0, n, 4)) | frozenset(range(n + 2, 2 * n, 4))], \
+            (n, k)
+        assert 3 not in through_0[0]
+
+
 @pytest.mark.parametrize("spec, tests", [
     ("cycle:n=300", 20394),
     ("cycle:n=600", 80794),
@@ -643,8 +691,8 @@ def test_probe_each_matches_probe(case):
     g, a = case
     for base in (reduce_to_fixpoint(g, everything(g))[0], reduce_to_fixpoint(g, a)[0],
                  frozenset()):
-        assert probe_each(g, base) == [probe(g, base, x).survivors for x in sorted(base)], \
-            (g, base)
+        assert probe_each(g, base) == [probe(g, base, x) for x in sorted(base)] == \
+            [probe_in(g, base, x)[0] for x in sorted(base)], (g, base)
         for stray in (-1, g.n):
             with pytest.raises(ValueError, match="out of range"):
                 probe_each(g, base | {stray})
