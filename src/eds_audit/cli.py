@@ -8,6 +8,7 @@ procedure and the oracle is a recorded finding, never a failure.
 from __future__ import annotations
 
 import argparse
+import stat
 import sys
 import time
 from contextlib import nullcontext
@@ -45,11 +46,12 @@ def _print(line: str, out) -> None:
 def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    The input is stdin ("-" or none), an existing regular file, or else a
-    literal graph6 string (so a directory or "" is a literal that does not
-    decode).  Errors in the input source (input given with --gen, a bad
-    --gen spec, a literal that does not decode, an empty input) are raised by
-    this call, before the caller opens its output.
+    The input is stdin ("-" or none), any existing path that is not a
+    directory (a regular file, /dev/stdin, a pipe), or else a literal graph6
+    string (so a directory or "" is a literal that does not decode).  Errors
+    in the input source (input given with --gen, a bad --gen spec, a literal
+    that does not decode, an empty input) are raised by this call, before the
+    caller opens its output.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
     record and replay refers to.  A --gen spec whose generator gives up
@@ -66,8 +68,8 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     else:
         path = Path(args.input)
         try:
-            is_file = path.is_file()
-        except OSError:  # e.g. a literal graph6 string longer than a file name can be
+            is_file = not stat.S_ISDIR(path.stat().st_mode)
+        except OSError:  # no such path, or a literal longer than a file name can be
             is_file = False
         if is_file:
             text = path.read_text(encoding="utf-8")

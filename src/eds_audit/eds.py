@@ -26,7 +26,7 @@ def verify_eds(g: Graph, s: VertexSet) -> bool:
     # closed neighborhoods of s pairwise disjoint and covering V
     covered: set[int] = set()
     for x in sorted(s):
-        cn = g.closed_adj[x]
+        cn = g.adj[x] | {x}
         if covered & cn:
             return False
         covered |= cn

@@ -25,11 +25,14 @@ _G6_MIN = 63
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor sets.
 
-    Attributes cannot be assigned or deleted after construction; instances
-    compare and hash by ``(n, adj)``, and their caches fill on first use.
+    ``adj`` is stored as a tuple of frozensets, whatever iterables it was
+    given as.  Attributes cannot be assigned or deleted after construction;
+    instances compare and hash by ``(n, adj)``.  The only caches are the
+    graph's degree and connectivity, filled on first use.
     """
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+    def __init__(self, n: int, adj: Iterable[Iterable[int]]) -> None:
+        adj = tuple(map(frozenset, adj))
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(adj) != n:
@@ -83,32 +86,6 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls._trusted(n, tuple(map(frozenset, nbrs)))
-
-    @cached_property
-    def closed_adj(self) -> tuple[frozenset[int], ...]:
-        """Per-vertex closed neighborhoods N[v]."""
-        return tuple(self.adj[v] | {v} for v in range(self.n))
-
-    @cached_property
-    def second_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted lists of vertices at distance exactly 2."""
-        adj = self.adj
-        out = []
-        for v, nbrs in enumerate(adj):
-            far: set[int] = set()
-            for u in nbrs:
-                far |= adj[u]
-            far -= nbrs
-            far.discard(v)
-            out.append(tuple(sorted(far)))
-        return tuple(out)
-
-    @cached_property
-    def scan_tables(self) -> dict:
-        """The reduction's tables, one entry per scan order run on this
-        graph, keyed by its seed (None: ascending id), filled on first use
-        by ``reduction``."""
-        return {}
 
     # the answers of is_regular and is_connected, computed once per graph
     @cached_property

@@ -25,6 +25,7 @@ converse can fail only as a 'none-exists' verdict on a graph that has one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds
@@ -108,10 +109,11 @@ class Decision(NamedTuple):
 class _Scan(NamedTuple):
     """The kernel's tables for one scan order, with every mask over scan
     ranks: vertex u is bit ``bit[u]``, rank i holds ``vertex[i]``.
-    ``far[v]``: the vertices at distance exactly 2 from v, in ascending id
-    (``g.second_lists``).  ``reach[x]``: every v with some c in ``far[v]``
-    and x in N(c), so every v whose drop test reads x.  ``nbr[a]``: N(a).
-    ``ball[a]``: N(a) and the distance-2 vertices of a.
+    ``far[v]``: the vertices at distance exactly 2 from v, in ascending id,
+    so the first qualifying row gives the same witness in every scan order.
+    ``reach[x]``: every v with some c in ``far[v]`` and x in N(c), so every
+    v whose drop test reads x.  ``nbr[a]``: N(a).  ``ball[a]``: N(a) and the
+    distance-2 vertices of a.
     """
 
     bit: tuple[int, ...]
@@ -130,30 +132,32 @@ def _union(masks: Sequence[int], members: Iterable[int]) -> int:
     return m
 
 
+# One slot: only audit-facts scans a graph twice (``reduce_to_fixpoint``,
+# then ``probe_each``), and back to back; every other path scans each graph
+# once, so a larger memo would only keep dead graphs alive.
+@lru_cache(maxsize=1)
 def _scan(g: Graph, seed: int | None) -> _Scan:
     """The tables for scanning ``g`` in ascending id (``seed`` None) or in
-    the order of ``rank_permutation(g.n, seed)``, built on first use and
-    kept in ``g.scan_tables`` under ``seed``."""
-    t = g.scan_tables.get(seed)
-    if t is not None:
-        return t
+    the order of ``rank_permutation(g.n, seed)``, all built from the
+    neighbour masks: the distance-2 mask of v is the OR of N(u) over u in
+    N(v), less N(v) and v itself."""
     rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
     bit = tuple(map((1).__lshift__, rank))
+    vertex = sorted(range(g.n), key=rank.__getitem__)
     nbr = [_union(bit, s) for s in g.adj]
-    dist2 = [_union(bit, s) for s in g.second_lists]
-    t = _Scan(bit, sorted(range(g.n), key=rank.__getitem__), g.second_lists,
-              tuple([_union(dist2, s) for s in g.adj]), tuple(nbr),
-              tuple(map(int.__or__, nbr, dist2)))
-    g.scan_tables[seed] = t
-    return t
+    dist2 = [_union(nbr, s) & ~(m | b) for s, m, b in zip(g.adj, nbr, bit)]
+    return _Scan(bit, vertex, tuple([tuple(sorted(_members(vertex, d))) for d in dist2]),
+                 tuple([_union(dist2, s) for s in g.adj]), tuple(nbr),
+                 tuple(map(int.__or__, nbr, dist2)))
 
 
-def _members(t: _Scan, cur: int) -> frozenset[int]:
-    """The vertices of the rank mask ``cur``."""
+def _members(vertex: Sequence[int], cur: int) -> frozenset[int]:
+    """The vertices of the rank mask ``cur``, where rank i holds
+    ``vertex[i]``."""
     out = []
     while cur:
         low = cur & -cur
-        out.append(t.vertex[low.bit_length() - 1])
+        out.append(vertex[low.bit_length() - 1])
         cur ^= low
     return frozenset(out)
 
@@ -200,7 +204,7 @@ def _reduce(t: _Scan, cur: int, stale: int, log: list[int]) -> tuple[int, int]:
 def _probe(g: Graph, t: _Scan, cur: int, anchor: int, log: list[int]) -> tuple[int, int]:
     """Delete ``ball[anchor]`` from the fixpoint ``cur`` and reduce; only
     the vertices whose rows meet the ball are stale."""
-    stale = _union(t.reach, g.adj[anchor]) | _union(t.reach, g.second_lists[anchor])
+    stale = _union(t.reach, g.adj[anchor]) | _union(t.reach, t.far[anchor])
     return _reduce(t, cur & ~t.ball[anchor], stale, log)
 
 
@@ -242,7 +246,7 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
     t, cur = _candidates(g, a)
     log: list[int] = []
     cur, _ = _reduce(t, cur, cur, log)
-    return _members(t, cur), tuple(_events(log, STAGE_INITIAL))
+    return _members(t.vertex, cur), tuple(_events(log, STAGE_INITIAL))
 
 
 def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
@@ -266,7 +270,7 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
     t, cur = _candidates(g, a)
     cur, _ = _probe(g, t, cur, anchor, [])
-    return _members(t, cur)
+    return _members(t.vertex, cur)
 
 
 def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
@@ -284,7 +288,7 @@ def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
         todo ^= low
         log.clear()
         cur, _ = _probe(g, t, base, low.bit_length() - 1, log)
-        out.append(_members(t, cur))
+        out.append(_members(t.vertex, cur))
     return out
 
 
@@ -352,7 +356,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
         committed |= low
         cur = survivors
 
-    final = _members(t, cur)
+    final = _members(t.vertex, cur)
     if not verify_eds(g, final):  # not an assert statement: -O strips those
         raise AssertionError(f"final set {sorted(final)} is not an EDS")
     return Decision(VERDICT_FOUND, EdsCertificate(final), None, tuple(trace), work)

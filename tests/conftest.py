@@ -67,6 +67,17 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def distance_two(g: Graph, v: int) -> tuple[int, ...]:
+    """The vertices at distance exactly 2 from v, in ascending id, from
+    ``g.adj`` alone: neighbours of neighbours, less N(v) and v."""
+    return tuple(sorted(set().union(*(g.adj[u] for u in g.adj[v])) - g.adj[v] - {v}))
+
+
+def closed_nbhd(g: Graph, v: int) -> frozenset[int]:
+    """The closed neighbourhood N[v], from ``g.adj`` alone."""
+    return g.adj[v] | {v}
+
+
 def eds_by_definition(g: Graph, members: frozenset[int]) -> bool:
     """Literal definition check, independent of the package's verifier:
     independent set, and every outside vertex has exactly one member neighbor."""
@@ -105,7 +116,7 @@ def solve_naive(g: Graph) -> OracleReport:
         raise ValueError("oracle requires a nonempty graph")
     if g.n > NAIVE_MAX_N:
         raise CapacityError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
-    masks = [sum(1 << u for u in g.closed_adj[v]) for v in range(g.n)]
+    masks = [sum(1 << u for u in closed_nbhd(g, v)) for v in range(g.n)]
     full = (1 << g.n) - 1
     found = []
     for bits in range(1 << g.n):

@@ -84,8 +84,8 @@ def test_missing_file_is_named(capsys):
 
 
 def test_directory_or_empty_argument_is_named(capsys, tmp_path):
-    # only a regular file is read as a file: "" (the current directory as a
-    # path) and a directory are literals that do not decode
+    # any existing path but a directory is read as a file: "" (the current
+    # directory as a path) and a directory are literals that do not decode
     out_path = tmp_path / "rows.jsonl"
     for arg in ("", str(tmp_path)):
         code, out, err = run(capsys, "decide", arg)
@@ -366,14 +366,17 @@ def audit_c6() -> tuple[str, None, Graph]:
     return encode_graph6(g), None, g
 
 
-def test_audit_reports_a_filter_that_drops_a_solution_vertex():
+def test_audit_reports_a_filter_that_drops_a_solution_vertex(monkeypatch):
     # a broken drop rule: vertex 0 first in its own distance-2 list, whose
     # row N(0) - N(0) is empty and so always misses the candidates
-    item = audit_c6()
-    g = item[2]
-    t = reduction._scan(g, None)
-    g.scan_tables[None] = t._replace(far=((0,) + t.far[0],) + t.far[1:])
-    row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
+    real = reduction._scan
+
+    def broken(g, seed):
+        t = real(g, seed)
+        return t._replace(far=((0,) + t.far[0],) + t.far[1:])
+
+    monkeypatch.setattr(reduction, "_scan", broken)
+    row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
     assert {"vertex": 0, "witness": 0} in row["filter_soundness_violations"]
 
@@ -567,12 +570,26 @@ UNUSED_BY_SERIAL_RUNS = ("dataclasses", "inspect", "hashlib", "multiprocessing",
                          "concurrent.futures.process")
 
 
-def imported_modules(*argv):
-    """Every module a fresh interpreter imports to run argv, by -X importtime."""
+def fresh_interpreter(*argv, stdin=None):
+    """Run ``python argv`` in a fresh interpreter that imports this package."""
     paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                          capture_output=True, text=True, env=env, check=True)
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
+                          text=True, env=env, check=True)
+
+
+def test_decide_reads_dev_stdin():
+    # /dev/stdin is an existing path but no regular file: it is read, not
+    # decoded as a graph6 literal
+    proc = fresh_interpreter("-m", "eds_audit.cli", "decide", "/dev/stdin", stdin="Bw\n")
+    rows = out_lines(proc.stdout)
+    assert len(rows) == 1 and rows[0]["graph6"] == "Bw"
+    assert rows[0]["verdict"] == "found"
+
+
+def imported_modules(*argv):
+    """Every module a fresh interpreter imports to run argv, by -X importtime."""
+    proc = fresh_interpreter("-X", "importtime", *argv)
     return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 

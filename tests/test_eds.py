@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph
 
-from .conftest import complete, cycle, eds_by_definition, hypercube, path, solve_naive
+from .conftest import (
+    closed_nbhd, complete, cycle, eds_by_definition, hypercube, path, solve_naive,
+)
 
 
 def test_verify_eds_examples(c6, q3):
@@ -50,7 +52,7 @@ def test_characterizations_agree(case):
 def test_verified_sets_dominate(case):
     g, s = case
     if verify_eds(g, s):
-        covered = set().union(*(g.closed_adj[x] for x in s))
+        covered = set().union(*(closed_nbhd(g, x) for x in s))
         assert covered == set(range(g.n))
 
 

@@ -7,9 +7,14 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from eds_audit import reduction
+from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular, parse_graph6
+from eds_audit.reduction import decide_eds
 
-from .conftest import bfs_distances, complete, cycle, hypercube, path, petersen, two_triangles
+from .conftest import (
+    bfs_distances, closed_nbhd, complete, cycle, hypercube, path, petersen, two_triangles,
+)
 
 
 def test_construction_validates():
@@ -68,11 +73,22 @@ def test_graph_is_an_immutable_value():
     assert g.n == 5 and len(g.adj) == 5
     # the same graph from the edges in another order, with a cache filled
     twin = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
-    assert twin.closed_adj[0] == {4, 0, 1}
+    assert is_regular(twin) == 2
     assert twin is not g and twin == g and hash(twin) == hash(g)
     assert {g: "c5"}[twin] == "c5"
     assert g != cycle(6) and g != path(5)
     assert pickle.loads(pickle.dumps(twin)) == g
+
+
+def test_adjacency_is_normalised():
+    # any iterables of ids are stored as a tuple of frozensets, so the graph
+    # equals, hashes and decides like the one built from that tuple
+    g = Graph(2, [{1}, [0]])
+    twin = Graph(2, (frozenset({1}), frozenset({0})))
+    assert type(g.adj) is tuple and all(type(nbrs) is frozenset for nbrs in g.adj)
+    assert g == twin and hash(g) == hash(twin)
+    assert decide_eds(g) == decide_eds(twin)
+    assert decide_eds(g).certificate.members == {0}
 
 
 def test_neighbors_examples(c6, k4):
@@ -83,26 +99,33 @@ def test_neighbors_examples(c6, k4):
 
 
 def test_closed_neighbors_examples(c6, k4):
-    assert c6.closed_adj[0] == {0, 1, 5}
-    assert k4.closed_adj[2] == {0, 1, 2, 3}
-    assert Graph.from_edges(1, []).closed_adj[0] == {0}
+    # the reference the tests check verify_eds against, and verify_eds on
+    # one-member sets, which are EDSs exactly when N[x] is every vertex
+    assert closed_nbhd(c6, 0) == {0, 1, 5}
+    assert closed_nbhd(k4, 2) == {0, 1, 2, 3}
+    assert closed_nbhd(Graph.from_edges(1, []), 0) == {0}
+    assert verify_eds(k4, frozenset({2})) and not verify_eds(c6, frozenset({0}))
+    assert verify_eds(Graph.from_edges(1, []), frozenset({0}))
 
 
 def test_second_neighborhood_examples(c6, k4, pet):
-    assert c6.second_lists[0] == (2, 4)
-    assert k4.second_lists[0] == ()
     # derived from the BFS oracle: all vertices at distance exactly 2
     dist = bfs_distances(pet, 0)
     expected = {v for v in range(10) if dist[v] == 2}
     assert len(expected) == 6
-    assert set(pet.second_lists[0]) == expected
+    for seed in (None, 1):
+        assert reduction._scan(c6, seed).far[0] == (2, 4)
+        assert reduction._scan(k4, seed).far[0] == ()
+        assert set(reduction._scan(pet, seed).far[0]) == expected
 
 
 def test_second_neighborhood_matches_bfs_everywhere(pet, q3, c6):
     for g in (pet, q3, c6, path(7), two_triangles()):
-        for v in range(g.n):
-            dist = bfs_distances(g, v)
-            assert g.second_lists[v] == tuple(u for u in range(g.n) if dist[u] == 2)
+        for seed in (None, 1):
+            far = reduction._scan(g, seed).far
+            for v in range(g.n):
+                dist = bfs_distances(g, v)
+                assert far[v] == tuple(u for u in range(g.n) if dist[u] == 2)
 
 
 def test_is_regular():
@@ -134,15 +157,19 @@ def graphs(draw, max_n=12):
 
 @given(graphs())
 def test_second_neighborhood_disjoint_from_closed(g):
-    for v in range(g.n):
-        assert g.closed_adj[v].isdisjoint(g.second_lists[v])
+    for seed in (None, 1):
+        far = reduction._scan(g, seed).far
+        for v in range(g.n):
+            assert closed_nbhd(g, v).isdisjoint(far[v])
 
 
 @given(graphs())
 def test_second_neighborhood_has_common_neighbor(g):
-    for v in range(g.n):
-        for w in g.second_lists[v]:
-            assert g.adj[v] & g.adj[w]
+    for seed in (None, 1):
+        far = reduction._scan(g, seed).far
+        for v in range(g.n):
+            for w in far[v]:
+                assert g.adj[v] & g.adj[w]
 
 
 @given(graphs())

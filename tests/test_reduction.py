@@ -22,7 +22,10 @@ from eds_audit.reduction import (
 )
 from eds_audit.rng import rank_permutation
 
-from .conftest import all_eds_bruteforce, complete, cycle, hypercube, path, petersen, two_triangles
+from .conftest import (
+    all_eds_bruteforce, bfs_distances, complete, cycle, distance_two, hypercube, path, petersen,
+    two_triangles,
+)
 from .test_acceptance import criterion1_corpus
 from .test_eds import graph_and_set
 
@@ -159,7 +162,7 @@ class TestProbe:
             for anchor in range(g.n):
                 survivors = probe(g, everything(g), anchor)
                 assert survivors <= everything(g)
-                ball = g.adj[anchor] | set(g.second_lists[anchor])
+                ball = g.adj[anchor] | set(distance_two(g, anchor))
                 assert not survivors & ball
 
 
@@ -396,7 +399,7 @@ def reference_drop_witness(g, candidates, v):
     if v not in candidates:
         raise ValueError(f"vertex {v} is not in the candidate set")
     nv = g.adj[v]
-    for c in g.second_lists[v]:
+    for c in distance_two(g, v):
         if candidates.isdisjoint(g.adj[c] - nv):
             return c
     return None
@@ -445,7 +448,7 @@ def fixpoint_in(g, a, seed):
     t = reduction._scan(g, seed)
     log = []
     cur, _ = reduction._reduce(t, as_mask(t, a), as_mask(t, a), log)
-    return reduction._members(t, cur), tuple(reduction._events(log, STAGE_INITIAL))
+    return reduction._members(t.vertex, cur), tuple(reduction._events(log, STAGE_INITIAL))
 
 
 def probe_in(g, a, anchor, seed=None):
@@ -455,7 +458,7 @@ def probe_in(g, a, anchor, seed=None):
     t = reduction._scan(g, seed)
     log = []
     cur, tests = reduction._probe(g, t, as_mask(t, a), anchor, log)
-    return reduction._members(t, cur), log, tests
+    return reduction._members(t.vertex, cur), log, tests
 
 
 @pytest.fixture(scope="module")
@@ -706,22 +709,23 @@ def test_drop_tables_match_their_definitions():
         for seed in (None, 1):
             rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
             t = reduction._scan(g, seed)
-            assert reduction._scan(g, seed) is t and g.scan_tables[seed] is t
+            assert reduction._scan(g, seed) is t  # the memo's hit
 
             def mask(vertices):
                 return sum(1 << rank[u] for u in vertices)
 
             assert t.bit == tuple(1 << rank[v] for v in range(g.n))
             assert [t.vertex[rank[v]] for v in range(g.n)] == list(range(g.n))
-            assert t.far is g.second_lists
             for v in range(g.n):
+                dist = bfs_distances(g, v)
+                assert t.far[v] == tuple(u for u in range(g.n) if dist[u] == 2)
                 assert t.nbr[v] == mask(g.adj[v])
-                assert t.ball[v] == mask(g.adj[v] | set(g.second_lists[v]))
+                assert t.ball[v] == mask(g.adj[v] | set(distance_two(g, v)))
             for x in range(g.n):
                 # reach[x] holds exactly the vertices at distance 2 from a
                 # neighbour of x, among them every vertex with a row
                 # N(c) - N(v) holding x
-                assert t.reach[x] == mask(set().union(*(g.second_lists[u] for u in g.adj[x])))
+                assert t.reach[x] == mask(set().union(*(distance_two(g, u) for u in g.adj[x])))
                 for v in range(g.n):
                     if any(x in g.adj[c] - g.adj[v] for c in t.far[v]):
                         assert t.reach[x] & t.bit[v], (g, seed, x, v)
