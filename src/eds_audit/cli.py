@@ -47,11 +47,14 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
     The input is stdin ("-" or none), any existing path that is not a
-    directory (a regular file, /dev/stdin, a pipe), or else a literal graph6
+    directory (a regular file, /dev/stdin, a pipe), or else one literal graph6
     string (so a directory or "" is a literal that does not decode).  Errors
     in the input source (input given with --gen, a bad --gen spec, a literal
     that does not decode, an empty input) are raised by this call, before the
     caller opens its output.
+    Stdin and files are read as bytes, and lines end at \\n, \\r\\n or \\r
+    only.  Each byte decodes to one character, so a byte above 127 is a
+    graph6 error of its line, raised after the rows of the lines before it.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
     record and replay refers to.  A --gen spec whose generator gives up
@@ -62,29 +65,23 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
         return _built(_genspecs(gen_args))
-    literal = False
     if args.input is None or args.input == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         path = Path(args.input)
         try:
             is_file = not stat.S_ISDIR(path.stat().st_mode)
         except OSError:  # no such path, or a literal longer than a file name can be
             is_file = False
-        if is_file:
-            text = path.read_text(encoding="utf-8")
-        else:
-            text, literal = args.input, True
-    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
-             if line.strip()]
-    if literal:
-        if len(lines) <= 1:  # one graph, or none: its error needs no line number
-            lines = [(None, lines[0][1] if lines else "")]
-        try:
-            return iter(list(_decoded(lines)))
-        except ParseError as exc:
-            raise ParseError(f"{args.input!r} is neither an existing file nor valid graph6: "
-                             f"{exc}") from None
+        if not is_file:
+            try:
+                return iter(list(_decoded([(None, args.input)])))
+            except ParseError as exc:
+                raise ParseError(f"{args.input!r} is neither an existing file nor valid "
+                                 f"graph6: {exc}") from None
+        data = path.read_bytes()
+    lines = [(lineno, line.decode("ascii", "surrogateescape"))
+             for lineno, line in enumerate(data.splitlines(), 1) if line.strip()]
     if not lines:
         raise ParseError("no graphs in input")
     return _decoded(lines)
@@ -223,7 +220,7 @@ def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic
         elapsed_oracle=0.0 if deterministic else elapsed_oracle,
         genspec=genspec)
     if save_dir is not None and not record.agree:
-        save_counterexample(save_dir, graph6, record,
+        save_counterexample(save_dir, record,
                             decide_report_doc(graph6, decision, include_trace=True),
                             oracle_report_doc(graph6, oracle))
     return record.to_json_dict()

@@ -10,11 +10,9 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .graph import parse_graph6
-from .oracle import OracleReport, solve_exact
+from .oracle import OracleReport
 from .reduction import (
-    KIND_DROP, KIND_PROBE_EMPTY, STAGE_INITIAL, STAGE_MAIN, VERDICT_FOUND,
-    Decision, decide_eds,
+    KIND_DROP, KIND_PROBE_EMPTY, STAGE_INITIAL, STAGE_MAIN, VERDICT_FOUND, Decision,
 )
 
 FLAG_PROBE_CONVERSE = "probe-converse-violation"
@@ -107,19 +105,16 @@ def oracle_report_doc(graph6: str, report: OracleReport) -> dict:
     return doc
 
 
-def counterexample_path(directory: Path, graph6: str) -> Path:
-    import hashlib  # loaded here: only counterexample files need it
-    digest = hashlib.sha256(graph6.encode("ascii")).hexdigest()[:16]
-    return directory / f"counterexample-{digest}.json"
-
-
-def save_counterexample(directory: Path, graph6: str, record: CompareRecord,
+def save_counterexample(directory: Path, record: CompareRecord,
                         decide_doc: dict, oracle_doc: dict) -> Path:
-    """Persist everything needed to replay one disagreement."""
-    directory.mkdir(parents=True, exist_ok=True)
-    path = counterexample_path(directory, graph6)
+    """Persist everything needed to replay one disagreement: ``decide --trace``
+    and ``oracle --max-n N`` on its graph6 reprint the two saved documents.
+    The directory must exist."""
+    import hashlib  # loaded here: only counterexample files need it
+    digest = hashlib.sha256(record.graph6.encode("ascii")).hexdigest()[:16]
+    path = directory / f"counterexample-{digest}.json"
     payload = {
-        "graph6": graph6,
+        "graph6": record.graph6,
         "genspec": record.genspec,
         "record": record.to_json_dict(),
         "decide": decide_doc,
@@ -128,30 +123,6 @@ def save_counterexample(directory: Path, graph6: str, record: CompareRecord,
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
     return path
-
-
-def load_counterexample(path: Path) -> dict:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for field in ("graph6", "record", "decide", "oracle"):
-        if field not in payload:
-            raise ValueError(f"counterexample file missing {field!r}")
-    return payload
-
-
-def replay_counterexample(path: Path) -> tuple[bool, str]:
-    """Re-run both solvers on a saved graph and compare against the stored
-    documents byte-for-byte (as canonical JSON lines)."""
-    payload = load_counterexample(path)
-    g = parse_graph6(payload["graph6"])
-    fresh_decide = decide_report_doc(payload["graph6"], decide_eds(g),
-                                     include_trace="trace" in payload["decide"])
-    # the saved oracle document proves the search already ran at this size
-    fresh_oracle = oracle_report_doc(payload["graph6"], solve_exact(g, max_n=g.n))
-    if json_line(fresh_decide) != json_line(payload["decide"]):
-        return False, "decide output differs from the saved document"
-    if json_line(fresh_oracle) != json_line(payload["oracle"]):
-        return False, "oracle output differs from the saved document"
-    return True, "replay matches"
 
 
 def compute_agree(decide_verdict: str, oracle_has_eds: bool) -> bool:

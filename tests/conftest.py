@@ -6,17 +6,21 @@ of the package's generators, so generator tests have something to agree with.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from collections import deque
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from eds_audit import cli
 from eds_audit.errors import CapacityError
 from eds_audit.graph import Graph
 from eds_audit.oracle import OracleReport
 from eds_audit.records import (
-    KIND_AUDIT, KIND_RECORD, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord,
+    KIND_AUDIT, KIND_RECORD, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord, json_line,
 )
 
 
@@ -161,6 +165,23 @@ def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
     if kind in (KIND_AUDIT, KIND_SUMMARY):
         return doc
     raise ValueError(f"unknown row kind {kind!r}")
+
+
+def replay_mismatches(path: Path) -> list[str]:
+    """Replay a counterexample file through the CLI: the commands among
+    ``decide --trace G6`` and ``oracle --max-n N G6`` whose printed line is
+    not the file's saved document as a canonical JSON line."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    graph6, n = payload["graph6"], payload["record"]["n"]
+    mismatches = []
+    for command, argv in (("decide", ["decide", "--trace", graph6]),
+                          ("oracle", ["oracle", "--max-n", str(n), graph6])):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0 or out.getvalue() != json_line(payload[command]) + "\n":
+            mismatches.append(command)
+    return mismatches
 
 
 @pytest.fixture

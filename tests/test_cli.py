@@ -16,10 +16,11 @@ from eds_audit import reduction
 from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
-from eds_audit.records import replay_counterexample
 from eds_audit.reduction import reduce_to_fixpoint
 
-from .conftest import cycle, parse_record_line, path, petersen, two_triangles
+from .conftest import (
+    cycle, parse_record_line, path, petersen, replay_mismatches, two_triangles,
+)
 from .test_acceptance import criterion1_corpus
 from .test_reduction import probe_in
 
@@ -41,13 +42,23 @@ def test_decide_literal_graph6(capsys):
     assert doc["verdict"] == "found" and doc["certificate"] == [0]
 
 
-def test_decide_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nEhEG\n"))
-    code, out, _ = run(capsys, "decide", "-")
-    assert code == 0
-    docs = out_lines(out)
-    assert [d["verdict"] for d in docs] == ["found", "found"]
-    assert docs[1]["certificate"] == [0, 3]
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A strict UTF-8 text stdin over data, as a UTF-8 locale gives."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+
+
+def test_decide_stdin(capsys, monkeypatch, tmp_path):
+    # lines end at \n, \r\n or \r, on stdin and in a file alike
+    p = tmp_path / "in.g6"
+    for data in (b"Bw\nEhEG\n", b"Bw\rEhEG\r", b"Bw\r\nEhEG\r\n"):
+        p.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+        for source in ("-", str(p)):
+            code, out, _ = run(capsys, "decide", source)
+            assert code == 0
+            docs = out_lines(out)
+            assert [d["verdict"] for d in docs] == ["found", "found"], (data, source)
+            assert docs[1]["certificate"] == [0, 3]
 
 
 def test_decide_precondition_rows(capsys, tmp_path):
@@ -85,13 +96,14 @@ def test_missing_file_is_named(capsys):
 
 def test_directory_or_empty_argument_is_named(capsys, tmp_path):
     # any existing path but a directory is read as a file: "" (the current
-    # directory as a path) and a directory are literals that do not decode
+    # directory as a path) and a directory are literals that do not decode;
+    # a literal is one graph6 string, so a newline in it is trailing garbage
     out_path = tmp_path / "rows.jsonl"
-    for arg in ("", str(tmp_path)):
+    for arg in ("", str(tmp_path), "Bw\nEhEG"):
         code, out, err = run(capsys, "decide", arg)
         assert code == 2 and out == ""
         assert f"error: {arg!r} is neither an existing file nor valid graph6" in err
-        assert "Errno" not in err and "line 1" not in err
+        assert "Errno" not in err and "line" not in err
         for command in ("compare", "audit-facts"):
             out_path.write_text("kept\n")
             code, _, err = run(capsys, command, "--out", str(out_path), arg)
@@ -141,7 +153,7 @@ def test_max_n_below_one_is_a_usage_error(capsys, tmp_path, command):
 @pytest.mark.parametrize("lines", ["?\nEhEG\n", "EhEG\n?\n"])
 def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines):
     # a usage row (empty graph) and a capacity row exit 3 in either order
-    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(lines.encode("ascii")))
     code, out, _ = run(capsys, "oracle", "--max-n", "4", "-")
     assert code == 3
     assert sorted(doc["error"] for doc in out_lines(out)) == ["capacity", "usage"]
@@ -280,24 +292,14 @@ def test_compare_counterexample_flow(capsys, tmp_path, monkeypatch):
     assert code == 0
     files = sorted(ce_dir.glob("counterexample-*.json"))
     assert len(files) == 2
-    for f in files:
-        ok, message = replay_counterexample(f)
-        assert ok, message
     summary = out_lines(out)[-1]
     assert summary["counterexamples"] == 2
 
     # rerunning the CLI on a saved graph reproduces the stored documents
     # byte-for-byte
     monkeypatch.undo()
-    payload = json.loads(files[0].read_text())
-    code, out, _ = run(capsys, "decide", "--trace", payload["graph6"])
-    assert code == 0
-    assert out.splitlines()[0] == json.dumps(
-        payload["decide"], sort_keys=True, separators=(",", ":"))
-    code, out, _ = run(capsys, "oracle", payload["graph6"])
-    assert code == 0
-    assert out.splitlines()[0] == json.dumps(
-        payload["oracle"], sort_keys=True, separators=(",", ":"))
+    for f in files:
+        assert replay_mismatches(f) == [], f
 
 
 def test_counterexample_above_default_guard_replays(capsys, tmp_path):
@@ -309,7 +311,7 @@ def test_counterexample_above_default_guard_replays(capsys, tmp_path):
                      "--gen", "generalized-petersen:n=68,k=7")
     assert code == 0
     [saved] = ce_dir.glob("counterexample-*.json")
-    assert replay_counterexample(saved) == (True, "replay matches")
+    assert replay_mismatches(saved) == []
 
 
 def test_compare_deterministic_byte_identical(capsys, tmp_path):
@@ -521,15 +523,28 @@ def test_each_input_decoded_once(capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_rows_before_malformed_line_are_written(capsys, tmp_path):
+def test_rows_before_malformed_line_are_written(capsys, tmp_path, monkeypatch):
+    # each case: input bytes, the rows written before the bad line, its error;
+    # a byte above 127 is a graph6 error of its line, and \f ends no line
+    c6, c9 = encode_graph6(cycle(6)), encode_graph6(cycle(9))
+    cases = [
+        (f"{c6}\n{c9}\nB\x01\n".encode("ascii"), [c6, c9],
+         "line 3: invalid graph6 byte 1 (byte offset 1)"),
+        (b"Bw\n\xff\n", ["Bw"],
+         "line 2: non-ASCII byte in graph6 input (byte offset 0)"),
+        (b"Bw\x0cBw\nB\x01\n", [],
+         "line 1: trailing garbage after graph6 payload (byte offset 2)"),
+    ]
     p = tmp_path / "in.g6"
-    p.write_text(encode_graph6(cycle(6)) + "\n" + encode_graph6(cycle(9)) + "\nB\x01\n")
-    for command in ("decide", "compare", "audit-facts"):
-        code, out, err = run(capsys, command, str(p))
-        assert code == 2 and "line 3:" in err, command
-        # no summary: the run stopped at the bad line
-        assert [d["graph6"] for d in out_lines(out)] == [
-            encode_graph6(cycle(6)), encode_graph6(cycle(9))], command
+    for data, rows, error in cases:
+        p.write_bytes(data)
+        for command in ("decide", "compare", "audit-facts"):
+            for source in (str(p), "-"):
+                monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+                code, out, err = run(capsys, command, source)
+                assert (code, err) == (2, f"error: {error}\n"), (data, command, source)
+                # no summary: the run stopped at the bad line
+                assert [d["graph6"] for d in out_lines(out)] == rows, (data, command, source)
 
 
 def test_input_errors_leave_out_file_untouched(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,13 +10,12 @@ import pytest
 from eds_audit.graph import encode_graph6
 from eds_audit.oracle import solve_exact
 from eds_audit.records import (
-    CompareRecord, SkipRecord, compute_agree, counterexample_path,
-    decide_report_doc, json_line, load_counterexample, oracle_report_doc,
-    replay_counterexample, save_counterexample,
+    CompareRecord, SkipRecord, compute_agree, decide_report_doc, json_line,
+    oracle_report_doc, save_counterexample,
 )
 from eds_audit.reduction import decide_eds
 
-from .conftest import cycle, parse_record_line, petersen
+from .conftest import cycle, parse_record_line, petersen, replay_mismatches
 
 
 def make_record(**overrides) -> CompareRecord:
@@ -92,15 +92,15 @@ def test_counterexample_save_and_replay(tmp_path):
                          agree=False, certificate_valid=None, genspec=None)
     decide_doc = decide_report_doc(graph6, decide_eds(g), include_trace=True)
     oracle_doc = oracle_report_doc(graph6, solve_exact(g))
-    path = save_counterexample(tmp_path, graph6, record, decide_doc, oracle_doc)
-    assert path == counterexample_path(tmp_path, graph6)
+    path = save_counterexample(tmp_path, record, decide_doc, oracle_doc)
+    digest = hashlib.sha256(graph6.encode("ascii")).hexdigest()[:16]
+    assert path == tmp_path / f"counterexample-{digest}.json"
 
-    payload = load_counterexample(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["graph6"] == graph6
     assert parse_record_line(json_line(payload["record"])) == record
 
-    ok, message = replay_counterexample(path)
-    assert ok, message
+    assert replay_mismatches(path) == []
 
 
 def test_replay_detects_tampering(tmp_path):
@@ -109,19 +109,11 @@ def test_replay_detects_tampering(tmp_path):
     record = make_record(graph6=graph6)
     decide_doc = decide_report_doc(graph6, decide_eds(g), include_trace=True)
     oracle_doc = oracle_report_doc(graph6, solve_exact(g))
-    path = save_counterexample(tmp_path, graph6, record, decide_doc, oracle_doc)
+    path = save_counterexample(tmp_path, record, decide_doc, oracle_doc)
     payload = json.loads(path.read_text())
     payload["decide"]["work_counter"] += 1
     path.write_text(json.dumps(payload))
-    ok, message = replay_counterexample(path)
-    assert not ok and "decide" in message
-
-
-def test_load_rejects_incomplete(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"graph6": "Bw"}')
-    with pytest.raises(ValueError, match="missing"):
-        load_counterexample(p)
+    assert replay_mismatches(path) == ["decide"]
 
 
 def test_json_line_is_canonical():
