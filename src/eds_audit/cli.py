@@ -27,7 +27,9 @@ from .records import (
     CompareRecord, SkipRecord, compute_agree, decide_report_doc, json_line,
     oracle_report_doc, save_counterexample,
 )
-from .reduction import REASON_EXHAUSTED, decide_eds, probe_each, reduce_to_fixpoint
+from .reduction import (
+    REASON_EXHAUSTED, decide_eds, precondition_error, probe_each, reduce_to_fixpoint,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -145,33 +147,22 @@ def cmd_decide(args) -> int:
     return status
 
 
-def precondition_error(g: Graph) -> str | None:
-    if g.n == 0:
-        return "empty-graph"
-    if is_regular(g) is None:
-        return "not-regular"
-    if not is_connected(g):
-        return "disconnected"
-    return None
-
-
 # oracle
 
 
 def cmd_oracle(args) -> int:
     status = EXIT_OK
     for graph6, _, g in collect_inputs(args):
+        if g.n == 0:  # decide's row: the oracle has no graph to search
+            _print(json_line({"graph6": graph6, "error": "empty-graph"}), sys.stdout)
+            status = max(status, EXIT_INPUT)
+            continue
         try:
             report = solve_exact(g, enumerate_all=args.enumerate, max_n=args.max_n)
         except CapacityError as exc:
             _print(json_line({"graph6": graph6, "error": "capacity", "message": str(exc)}),
                    sys.stdout)
             status = max(status, EXIT_CAPACITY)
-            continue
-        except ValueError as exc:
-            _print(json_line({"graph6": graph6, "error": "usage", "message": str(exc)}),
-                   sys.stdout)
-            status = max(status, EXIT_INPUT)
             continue
         _print(json_line(oracle_report_doc(graph6, report)), sys.stdout)
     return status

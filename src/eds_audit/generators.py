@@ -224,7 +224,8 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
             raise ValueError(f"duplicate parameter {key!r}")
         if key == "offsets":
             try:
-                fields[key] = tuple(int(o) for o in value.split("+"))
+                # sorted, each once: the text names the graph gen_circulant builds
+                fields[key] = tuple(sorted({int(o) for o in value.split("+")}))
             except ValueError:
                 raise ValueError(f"bad offsets {value!r}") from None
         elif key == "seed" and ".." in value:

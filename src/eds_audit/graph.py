@@ -143,7 +143,7 @@ def parse_graph6(text: str) -> Graph:
     set bit is one edge i < j, so the neighbour sets it fills are simple and
     symmetric by construction and the graph skips ``Graph``'s edge checks.
     """
-    stripped = text.strip()
+    stripped = text.strip(" \t\n\r\v\f")  # bytes.strip()'s set: the CLI's blank test
     base = text.index(stripped) if stripped else 0
     if stripped.startswith(GRAPH6_HEADER):
         base += len(GRAPH6_HEADER)

@@ -21,9 +21,6 @@ class OracleReport(NamedTuple):
     solutions: tuple[frozenset[int], ...]
     nodes_explored: int
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "solutions": [sorted(s) for s in self.solutions]}
-
 
 def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None
                 ) -> OracleReport:

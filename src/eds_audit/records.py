@@ -94,15 +94,14 @@ def decide_report_doc(graph6: str, decision: Decision, *, include_trace: bool = 
         },
     }
     if include_trace:
-        doc["trace"] = decision.trace_json()
+        doc["trace"] = [e._asdict() for e in decision.trace]
     return doc
 
 
 def oracle_report_doc(graph6: str, report: OracleReport) -> dict:
     """The JSON document cmd-oracle prints for one graph (timing-free)."""
-    doc = report.to_json_dict()
-    doc["graph6"] = graph6
-    return doc
+    return {**report._asdict(), "graph6": graph6,
+            "solutions": [sorted(s) for s in report.solutions]}
 
 
 def save_counterexample(directory: Path, record: CompareRecord,

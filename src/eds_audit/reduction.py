@@ -102,9 +102,6 @@ class Decision(NamedTuple):
     def committed(self) -> tuple[int, ...]:
         return tuple(e.vertex for e in self.trace if e.kind == KIND_COMMIT)
 
-    def trace_json(self) -> list[dict]:
-        return [e._asdict() for e in self.trace]
-
 
 class _Scan(NamedTuple):
     """The kernel's tables for one scan order, with every mask over scan
@@ -292,13 +289,26 @@ def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
     return out
 
 
+def precondition_error(g: Graph) -> str | None:
+    """Why ``decide_eds`` refuses g: 'empty-graph', 'not-regular' or
+    'disconnected'; None if it runs on g."""
+    if g.n == 0:
+        return "empty-graph"
+    if is_regular(g) is None:
+        return "not-regular"
+    if not is_connected(g):
+        return "disconnected"
+    return None
+
+
 def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     """Run the decision procedure.
 
     By default every vertex scan and anchor choice follows ascending id; with
     ``drop_order_seed`` they follow ``rank_permutation(g.n, drop_order_seed)``
-    instead, which measures order sensitivity.  Raises ValueError unless g is
-    connected and regular.  'found' verdicts carry a verified certificate.
+    instead, which measures order sensitivity.  Raises a ValueError naming
+    ``precondition_error(g)`` if that is set.  'found' verdicts carry a
+    verified certificate.
 
     The candidates and the committed anchors are masks over scan ranks, so
     the lowest uncommitted bit is the next anchor in scan order.
@@ -319,10 +329,9 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     Regularity is not used.  The certificate is still verified: a failure
     is a defect in this module, raised, not a verdict.
     """
-    if is_regular(g) is None:
-        raise ValueError("decision procedure requires a regular graph")
-    if not is_connected(g):
-        raise ValueError("decision procedure requires a connected graph")
+    refusal = precondition_error(g)
+    if refusal:
+        raise ValueError(f"decision procedure refuses the graph: {refusal}")
 
     t = _scan(g, drop_order_seed)
     log: list[int] = []

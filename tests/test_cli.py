@@ -97,12 +97,15 @@ def test_missing_file_is_named(capsys):
 def test_directory_or_empty_argument_is_named(capsys, tmp_path):
     # any existing path but a directory is read as a file: "" (the current
     # directory as a path) and a directory are literals that do not decode;
-    # a literal is one graph6 string, so a newline in it is trailing garbage
+    # a literal is one graph6 string, so a newline in it is trailing garbage;
+    # only ASCII whitespace surrounds it, so a no-break space is a non-ASCII byte
     out_path = tmp_path / "rows.jsonl"
-    for arg in ("", str(tmp_path), "Bw\nEhEG"):
+    for arg in ("", str(tmp_path), "Bw\nEhEG", "Bw\u00a0"):
         code, out, err = run(capsys, "decide", arg)
         assert code == 2 and out == ""
         assert f"error: {arg!r} is neither an existing file nor valid graph6" in err
+        if arg == "Bw\u00a0":
+            assert err.endswith(": non-ASCII byte in graph6 input (byte offset 2)\n")
         assert "Errno" not in err and "line" not in err
         for command in ("compare", "audit-facts"):
             out_path.write_text("kept\n")
@@ -152,11 +155,12 @@ def test_max_n_below_one_is_a_usage_error(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("lines", ["?\nEhEG\n", "EhEG\n?\n"])
 def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines):
-    # a usage row (empty graph) and a capacity row exit 3 in either order
+    # decide's empty-graph row (exit 2) and a capacity row exit 3 in either order
     monkeypatch.setattr("sys.stdin", stdin_bytes(lines.encode("ascii")))
     code, out, _ = run(capsys, "oracle", "--max-n", "4", "-")
     assert code == 3
-    assert sorted(doc["error"] for doc in out_lines(out)) == ["capacity", "usage"]
+    assert sorted(doc["error"] for doc in out_lines(out)) == ["capacity", "empty-graph"]
+    assert '{"error":"empty-graph","graph6":"?"}' in out.splitlines()
 
 
 def test_gen_deterministic(capsys):
@@ -470,14 +474,15 @@ def g6_size_forms(n: int) -> list[str]:
 ])
 def test_rows_quote_the_canonical_line(capsys, tmp_path, command):
     # a canonical line is quoted as given; any other spelling of the same
-    # graph (header, surrounding whitespace, a longer size prefix) is
+    # graph (header, surrounding ASCII whitespace, a longer size prefix) is
     # quoted re-encoded
     canonical = [encode_graph6(g) for g in (cycle(6), petersen(), cycle(64), cycle(120))]
     lines = list(canonical)
     for text in canonical:
         n = parse_graph6(text).n
         payload = text[1:] if n <= 62 else text[4:]
-        lines += [GRAPH6_HEADER + text, f" {text}\t", *(p + payload for p in g6_size_forms(n))]
+        lines += [GRAPH6_HEADER + text, f" {text}\t", f"\v{text}\f",
+                  *(p + payload for p in g6_size_forms(n))]
     p = tmp_path / "in.g6"
     p.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, *command, str(p))
@@ -525,7 +530,8 @@ def test_each_input_decoded_once(capsys, tmp_path, monkeypatch):
 
 def test_rows_before_malformed_line_are_written(capsys, tmp_path, monkeypatch):
     # each case: input bytes, the rows written before the bad line, its error;
-    # a byte above 127 is a graph6 error of its line, and \f ends no line
+    # a byte above 127 is a graph6 error of its line, and \f ends no line;
+    # a control byte that is not ASCII whitespace is neither blank nor stripped
     c6, c9 = encode_graph6(cycle(6)), encode_graph6(cycle(9))
     cases = [
         (f"{c6}\n{c9}\nB\x01\n".encode("ascii"), [c6, c9],
@@ -533,6 +539,10 @@ def test_rows_before_malformed_line_are_written(capsys, tmp_path, monkeypatch):
         (b"Bw\n\xff\n", ["Bw"],
          "line 2: non-ASCII byte in graph6 input (byte offset 0)"),
         (b"Bw\x0cBw\nB\x01\n", [],
+         "line 1: trailing garbage after graph6 payload (byte offset 2)"),
+        (b"Bw\n\x1c\nBw\x1f\n", ["Bw"],
+         "line 2: invalid graph6 byte 28 (byte offset 0)"),
+        (b"Bw\x1f\n", [],
          "line 1: trailing garbage after graph6 payload (byte offset 2)"),
     ]
     p = tmp_path / "in.g6"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 from collections import deque
 
@@ -183,6 +184,17 @@ def test_genspec_builds_expected():
     assert parse_genspec("generalized-petersen:n=5,k=2").build() == petersen()
     g = parse_genspec("circulant:n=9,offsets=1+2").build()
     assert is_regular(g) == 4
+
+
+def test_circulant_offsets_are_canonical(capsys):
+    # offsets name a set: every spelling of one graph parses to one spec,
+    # and its rows carry the offsets sorted, each once
+    canonical = parse_genspec("circulant:n=9,offsets=1+2")
+    for text in ("circulant:n=9,offsets=2+1", "circulant:n=9,offsets=1+2+2"):
+        assert parse_genspec(text) == canonical
+        assert cli.main(["compare", "--deterministic", "--gen", text]) == 0
+        row = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert row["genspec"] == "circulant:n=9,offsets=1+2"
 
 
 def test_genspec_errors():

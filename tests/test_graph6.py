@@ -18,7 +18,7 @@ from .conftest import complete, cycle, hypercube, petersen
 # for the equivalence tests below.
 
 def reference_parse_graph6(text: str) -> Graph:
-    stripped = text.strip()
+    stripped = text.strip(" \t\n\r\v\f")
     base = text.index(stripped) if stripped else 0
     if stripped.startswith(GRAPH6_HEADER):
         base += len(GRAPH6_HEADER)
@@ -252,7 +252,8 @@ def graph6_like_text(draw):
     body = draw(st.text(alphabet=G6_FUZZ_ALPHABET, max_size=14))
     if draw(st.booleans()):
         body = GRAPH6_HEADER + body
-    lead, trail = draw(st.sampled_from(("", " ", "\n", "\t "))), draw(st.sampled_from(("", " ", "\n")))
+    lead = draw(st.sampled_from(("", " ", "\n", "\t ", "\v", "\f", "\x1c")))
+    trail = draw(st.sampled_from(("", " ", "\n", "\v", "\f", "\x1c")))
     return lead + body + trail
 
 

@@ -9,6 +9,7 @@ from eds_audit.errors import CapacityError
 from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact
+from eds_audit.records import oracle_report_doc
 
 from .conftest import (PETERSEN_EDGES, all_eds_bruteforce, complete, cycle, hypercube, path,
                        petersen, solve_naive, two_triangles)
@@ -117,7 +118,8 @@ def test_capacity_guards():
 def test_elapsed_and_nodes_reported(c6):
     report = solve_naive(c6)
     assert report.nodes_explored == 64
-    assert set(report.to_json_dict()) == {"has_eds", "solutions", "nodes_explored"}
+    doc = oracle_report_doc("EhEG", report)
+    assert set(doc) == {"graph6", "has_eds", "solutions", "nodes_explored"}
 
 
 # Reference recursive search: solve_exact's original form, one Python frame

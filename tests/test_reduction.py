@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from eds_audit import reduction
 from eds_audit.eds import verify_eds
 from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
-from eds_audit.graph import Graph, parse_graph6
+from eds_audit.graph import Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
-from eds_audit.records import json_line
+from eds_audit.records import decide_report_doc, json_line
 from eds_audit.reduction import (
     KIND_COMMIT, KIND_DROP, KIND_PROBE_EMPTY, REASON_ALL_PROBES_EMPTY,
     REASON_EXHAUSTED, REASON_INITIAL_EMPTY, STAGE_INITIAL, STAGE_MAIN, VERDICT_FOUND,
@@ -202,15 +202,15 @@ class TestDecide:
         assert d.certificate.members == {0, 7}
 
     def test_rejects_irregular(self):
-        with pytest.raises(ValueError, match="regular"):
+        with pytest.raises(ValueError, match="not-regular"):
             decide_eds(path(3))
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError, match="connected"):
+        with pytest.raises(ValueError, match="disconnected"):
             decide_eds(two_triangles())
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty-graph"):
             decide_eds(Graph.from_edges(0, []))
 
     def test_found_verdicts_match_bruteforce(self):
@@ -237,8 +237,7 @@ class TestDecide:
         assert all(e.stage in (STAGE_INITIAL, STAGE_MAIN) for e in d.trace)
 
     def test_trace_json_shape(self, c5):
-        d = decide_eds(c5)
-        doc = d.trace_json()
+        doc = decide_report_doc(encode_graph6(c5), decide_eds(c5), include_trace=True)["trace"]
         assert json.loads(json.dumps(doc)) == doc
         for event in doc:
             assert set(event) == {"kind", "vertex", "witness", "stage"}
@@ -591,7 +590,8 @@ def test_known_findings_pinned(source):
         g = parse_graph6(source)
     for seed, verdict, reason, committed, work, digest in FINDING_PINS[source]:
         d = decide_eds(g, seed)
-        trace_sha = hashlib.sha256(json_line(d.trace_json()).encode()).hexdigest()
+        trace = decide_report_doc(encode_graph6(g), d, include_trace=True)["trace"]
+        trace_sha = hashlib.sha256(json_line(trace).encode()).hexdigest()
         assert (d.verdict, d.reason, d.committed, d.work_counter, trace_sha) == \
             (verdict, reason, committed, work, digest), seed
 
