@@ -120,8 +120,14 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
                 break
             seen.add(key)
         else:
-            # drained, so stubs is fully shuffled and its pairs are the edges
-            g = Graph.from_edges(n, zip(stubs[::2], stubs[1::2]))
+            # drained, so stubs is fully shuffled and its pairs are the edges,
+            # which seen has checked: added in Graph.from_edges' order, so
+            # each neighbour set iterates as it would there
+            nbrs: list[set[int]] = [set() for _ in range(n)]
+            for u, v in zip(stubs[::2], stubs[1::2]):
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            g = Graph._trusted(n, tuple(map(frozenset, nbrs)))
             if is_connected(g):
                 return g
     raise CapacityError(

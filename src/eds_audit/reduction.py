@@ -30,7 +30,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds
 from .graph import Graph, VertexSet, is_connected, is_regular
-from .rng import rank_permutation
 
 STAGE_INITIAL = "initial-reduction"
 STAGE_MAIN = "main-loop"
@@ -104,17 +103,13 @@ class Decision(NamedTuple):
 
 
 class _Scan(NamedTuple):
-    """The kernel's tables for one scan order, with every mask over scan
-    ranks: vertex u is bit ``bit[u]``, rank i holds ``vertex[i]``.
-    ``far[v]``: the vertices at distance exactly 2 from v, in ascending id,
-    so the first qualifying row gives the same witness in every scan order.
-    ``reach[x]``: every v with some c in ``far[v]`` and x in N(c), so every
-    v whose drop test reads x.  ``nbr[a]``: N(a).  ``ball[a]``: N(a) and the
-    distance-2 vertices of a.
+    """The kernel's tables, with every mask over vertex ids: vertex v is
+    bit v.  ``far[v]``: the vertices at distance exactly 2 from v, in
+    ascending id.  ``reach[x]``: every v with some c in ``far[v]`` and x in
+    N(c), so every v whose drop test reads x.  ``nbr[a]``: N(a).
+    ``ball[a]``: N(a) and the distance-2 vertices of a.
     """
 
-    bit: tuple[int, ...]
-    vertex: Sequence[int]
     far: tuple[tuple[int, ...], ...]
     reach: tuple[int, ...]
     nbr: tuple[int, ...]
@@ -129,34 +124,35 @@ def _union(masks: Sequence[int], members: Iterable[int]) -> int:
     return m
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The mask with bit v set for each of the distinct ``vertices``."""
+    return sum(map((1).__lshift__, vertices))
+
+
+def _bits(m: int) -> list[int]:
+    """The set bits of ``m``, low to high."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 # One slot: only audit-facts scans a graph twice (``reduce_to_fixpoint``,
 # then ``probe_each``), and back to back; every other path scans each graph
 # once, so a larger memo would only keep dead graphs alive.
 @lru_cache(maxsize=1)
-def _scan(g: Graph, seed: int | None) -> _Scan:
-    """The tables for scanning ``g`` in ascending id (``seed`` None) or in
-    the order of ``rank_permutation(g.n, seed)``, all built from the
-    neighbour masks: the distance-2 mask of v is the OR of N(u) over u in
-    N(v), less N(v) and v itself."""
-    rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
-    bit = tuple(map((1).__lshift__, rank))
-    vertex = sorted(range(g.n), key=rank.__getitem__)
-    nbr = [_union(bit, s) for s in g.adj]
+def _scan(g: Graph) -> _Scan:
+    """The tables for ``g``, all built from the neighbour masks: the
+    distance-2 mask of v is the OR of N(u) over u in N(v), less N(v) and v
+    itself."""
+    bit = [1 << v for v in range(g.n)]
+    nbr = tuple([_union(bit, s) for s in g.adj])
     dist2 = [_union(nbr, s) & ~(m | b) for s, m, b in zip(g.adj, nbr, bit)]
-    return _Scan(bit, vertex, tuple([tuple(sorted(_members(vertex, d))) for d in dist2]),
-                 tuple([_union(dist2, s) for s in g.adj]), tuple(nbr),
+    return _Scan(tuple(map(tuple, map(_bits, dist2))),
+                 tuple([_union(dist2, s) for s in g.adj]), nbr,
                  tuple(map(int.__or__, nbr, dist2)))
-
-
-def _members(vertex: Sequence[int], cur: int) -> frozenset[int]:
-    """The vertices of the rank mask ``cur``, where rank i holds
-    ``vertex[i]``."""
-    out = []
-    while cur:
-        low = cur & -cur
-        out.append(vertex[low.bit_length() - 1])
-        cur ^= low
-    return frozenset(out)
 
 
 def _reduce(t: _Scan, cur: int, stale: int, log: list[int]) -> tuple[int, int]:
@@ -176,15 +172,15 @@ def _reduce(t: _Scan, cur: int, stale: int, log: list[int]) -> tuple[int, int]:
     whose rows hold v.  Droppability is monotone (``reduce_to_fixpoint``),
     so a vertex outside ``stale`` stays undroppable, and the lowest stale
     droppable vertex is the rescan's next drop, with the same witness.  The
-    rescan tests every candidate ranked before that drop, and at the
-    fixpoint every candidate: the count is computed from those positions.
+    rescan tests every candidate below that drop, and at the fixpoint
+    every candidate: the count is computed from those positions.
     """
-    vertex, far, nbr, reach = t.vertex, t.far, t.nbr, t.reach
+    far, nbr, reach = t.far, t.nbr, t.reach
     stale &= cur
     tests = 0
     while stale:
         low = stale & -stale
-        v = vertex[low.bit_length() - 1]
+        v = low.bit_length() - 1
         rest = cur & ~nbr[v]
         for c in far[v]:
             if not nbr[c] & rest:
@@ -212,14 +208,13 @@ def _events(log: list[int], stage: str) -> list[TraceEvent]:
 
 
 def _candidates(g: Graph, a: VertexSet) -> tuple[_Scan, int]:
-    """The ascending-id tables and the mask of ``a``.  The kernel indexes its
-    tables without checks, where -1 would alias n - 1, so stray ids are
-    rejected here: checking ``min(a)`` and ``max(a)`` checks every id."""
+    """The tables and the mask of ``a``.  The kernel indexes its tables
+    without checks, where -1 would alias n - 1, so stray ids are rejected
+    here: checking ``min(a)`` and ``max(a)`` checks every id."""
     if a:
         g._check_vertex(min(a))
         g._check_vertex(max(a))
-    t = _scan(g, None)
-    return t, _union(t.bit, a)
+    return _scan(g), _mask(a)
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
@@ -227,8 +222,8 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
     ascending id.
 
     Returns the fixed point and the ordered drop log.  Another scan order,
-    such as a seeded one from ``_scan``, changes the drop log, never the
-    fixed point.
+    such as ascending id on a relabelled copy of g, changes the drop log,
+    never the fixed point.
 
     Proof.  Droppability is monotone: v is droppable in A when some row
     N(c) - N(v) of v is disjoint from A, and a row disjoint from A is
@@ -243,7 +238,7 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
     t, cur = _candidates(g, a)
     log: list[int] = []
     cur, _ = _reduce(t, cur, cur, log)
-    return _members(t.vertex, cur), tuple(_events(log, STAGE_INITIAL))
+    return frozenset(_bits(cur)), tuple(_events(log, STAGE_INITIAL))
 
 
 def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
@@ -267,7 +262,7 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
     t, cur = _candidates(g, a)
     cur, _ = _probe(g, t, cur, anchor, [])
-    return _members(t.vertex, cur)
+    return frozenset(_bits(cur))
 
 
 def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
@@ -277,15 +272,12 @@ def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
     ``a`` must be a fixpoint of the drop filter, as for ``probe``.
     """
     t, base = _candidates(g, a)
-    todo = base
     log: list[int] = []
     out = []
-    while todo:  # in the default order, rank i holds vertex i
-        low = todo & -todo
-        todo ^= low
+    for x in _bits(base):
         log.clear()
-        cur, _ = _probe(g, t, base, low.bit_length() - 1, log)
-        out.append(_members(t.vertex, cur))
+        cur, _ = _probe(g, t, base, x, log)
+        out.append(frozenset(_bits(cur)))
     return out
 
 
@@ -301,17 +293,16 @@ def precondition_error(g: Graph) -> str | None:
     return None
 
 
-def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
+def decide_eds(g: Graph) -> Decision:
     """Run the decision procedure.
 
-    By default every vertex scan and anchor choice follows ascending id; with
-    ``drop_order_seed`` they follow ``rank_permutation(g.n, drop_order_seed)``
-    instead, which measures order sensitivity.  Raises a ValueError naming
+    Every vertex scan and anchor choice follows ascending id; another order
+    is ascending id on a relabelled copy of g.  Raises a ValueError naming
     ``precondition_error(g)`` if that is set.  'found' verdicts carry a
     verified certificate.
 
-    The candidates and the committed anchors are masks over scan ranks, so
-    the lowest uncommitted bit is the next anchor in scan order.
+    The candidates and the committed anchors are masks over vertex ids, so
+    the lowest uncommitted bit is the next anchor.
 
     Theorem: when every candidate is committed, the final set F is an
     efficient dominating set of the connected graph g.  Proof.  F is
@@ -333,7 +324,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
     if refusal:
         raise ValueError(f"decision procedure refuses the graph: {refusal}")
 
-    t = _scan(g, drop_order_seed)
+    t = _scan(g)
     log: list[int] = []
     everything = (1 << g.n) - 1
     cur, work = _reduce(t, everything, everything, log)
@@ -343,14 +334,14 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
 
     committed = 0
     while uncommitted := cur & ~committed:
-        first = uncommitted & -uncommitted
-        # then N(first) & cur, which ranks after first: earlier vertices of
+        head = (uncommitted & -uncommitted).bit_length() - 1
+        # head, then N(head) & cur, which lies above head: lower vertices of
         # cur are anchors, whose probes removed N(anchor)
-        cands = first | t.nbr[t.vertex[first.bit_length() - 1]] & cur
+        cands = 1 << head | t.nbr[head] & cur
         while cands:
             low = cands & -cands
             cands ^= low
-            cand = t.vertex[low.bit_length() - 1]
+            cand = low.bit_length() - 1
             drops: list[int] = []  # trace events only if this probe commits
             survivors, tests = _probe(g, t, cur, cand, drops)
             work += tests
@@ -365,7 +356,7 @@ def decide_eds(g: Graph, drop_order_seed: int | None = None) -> Decision:
         committed |= low
         cur = survivors
 
-    final = _members(t.vertex, cur)
+    final = frozenset(_bits(cur))
     if not verify_eds(g, final):  # not an assert statement: -O strips those
         raise AssertionError(f"final set {sorted(final)} is not an EDS")
     return Decision(VERDICT_FOUND, EdsCertificate(final), None, tuple(trace), work)

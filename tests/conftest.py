@@ -12,6 +12,7 @@ import json
 from collections import deque
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -22,6 +23,7 @@ from eds_audit.oracle import OracleReport
 from eds_audit.records import (
     KIND_AUDIT, KIND_RECORD, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord, json_line,
 )
+from eds_audit.rng import rank_permutation
 
 
 def cycle(n: int) -> Graph:
@@ -75,6 +77,27 @@ def distance_two(g: Graph, v: int) -> tuple[int, ...]:
     """The vertices at distance exactly 2 from v, in ascending id, from
     ``g.adj`` alone: neighbours of neighbours, less N(v) and v."""
     return tuple(sorted(set().union(*(g.adj[u] for u in g.adj[v])) - g.adj[v] - {v}))
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """``g`` with vertex v renamed ``perm[v]``.  With ``perm`` =
+    ``rank_permutation(g.n, s)``, the copy's ascending ids are g's vertices
+    in the seeded order s, so the package's one scan order, ascending id,
+    scans g in that order."""
+    adj: list[frozenset[int]] = [frozenset()] * g.n
+    for v, nbrs in enumerate(g.adj):
+        adj[perm[v]] = frozenset(perm[u] for u in nbrs)
+    return Graph(g.n, adj)
+
+
+def seeded(g: Graph, seed: int) -> tuple[Graph, list[int]]:
+    """``relabel(g, rank_permutation(g.n, seed))`` and the map back: vertex
+    x of the copy is vertex ``back[x]`` of g."""
+    rank = rank_permutation(g.n, seed)
+    back = [0] * g.n
+    for v, x in enumerate(rank):
+        back[x] = v
+    return relabel(g, rank), back
 
 
 def closed_nbhd(g: Graph, v: int) -> frozenset[int]:

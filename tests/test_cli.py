@@ -377,8 +377,8 @@ def test_audit_reports_a_filter_that_drops_a_solution_vertex(monkeypatch):
     # row N(0) - N(0) is empty and so always misses the candidates
     real = reduction._scan
 
-    def broken(g, seed):
-        t = real(g, seed)
+    def broken(g):
+        t = real(g)
         return t._replace(far=((0,) + t.far[0],) + t.far[1:])
 
     monkeypatch.setattr(reduction, "_scan", broken)

@@ -283,8 +283,8 @@ def test_splitmix64_reference_vector():
 
 
 def test_rank_permutation_properties():
-    # the scan tables take rank_permutation's result as a permutation
-    # unchecked, so every seeded order must be one by construction
+    # the tests relabel graphs by rank_permutation's result, taking it as a
+    # permutation unchecked, so every seeded order must be one by construction
     for n in range(65):
         for seed in range(1, 21):
             ranks = rank_permutation(n, seed)
@@ -304,28 +304,66 @@ def test_draws_match_successive_next_u64():
 
 
 def test_shuffle_matches_randbelow_fisher_yates():
-    # shuffle batches the draws; drained, it must consume the stream exactly
-    # like Fisher-Yates from the top index down on next_u64() % (i + 1), and
-    # it must yield each position as soon as that position is final
-    for seed in (0, 1, 42, 2**64 - 1):
-        for length in (0, 1, 2, 7, 60, 200):
+    # shuffle computes its draws in packed blocks as positions need them;
+    # drained, it must consume the stream exactly like Fisher-Yates from the
+    # top index down on next_u64() % (i + 1), and stopped after any number
+    # of yields it must have yielded that prefix of the reference, each
+    # position as soon as it is final.  Lengths straddle the block size.
+    b = rng._LANES
+    assert b == 16
+    for seed in (0, 1, 42, 2**64 - 1, 12345):
+        for length in (0, 1, 2, 15, 16, 17, 32, 33, 60, 65, 129):
             expected = list(range(length))
             ref = SplitMix64(seed)
             for i in range(length - 1, 0, -1):
                 j = ref.next_u64() % (i + 1)
                 expected[i], expected[j] = expected[j], expected[i]
-            got = list(range(length))
-            rng = SplitMix64(seed)
-            yielded = []
-            for item in rng.shuffle(got):
-                yielded.append(item)
+            for stop in range(1, length):
+                got = list(range(length))
+                gen = SplitMix64(seed)
+                yielded = []
+                for item in gen.shuffle(got):
+                    yielded.append(item)
+                    if len(yielded) == stop:
+                        break
+                assert yielded == expected[::-1][:stop], (seed, length, stop)
                 # early rejection reads only the suffix fixed so far
-                k = len(yielded)
-                assert got[length - k:] == expected[length - k:]
+                assert got[length - stop:] == expected[length - stop:]
+                # the state has moved past each block begun, no further
+                taken = min(length - 1, -(-stop // b) * b)
+                skip = SplitMix64(seed)
+                skip.draws(taken)
+                assert gen.state == skip.state, (seed, length, stop)
+            got = list(range(length))
+            gen = SplitMix64(seed)
+            assert list(gen.shuffle(got)) == expected[::-1]
             assert got == expected
-            assert yielded == expected[::-1]
-            assert rng.state == ref.state
-            assert rng.next_u64() == ref.next_u64()
+            assert gen.state == ref.state
+            assert gen.next_u64() == ref.next_u64()
+
+
+def test_random_regular_builds_what_from_edges_builds(monkeypatch):
+    # the accepted attempt's stubs, paired (2k, 2k+1), through
+    # Graph.from_edges: the same graph, and each neighbour set iterates in
+    # the same order, as parse_graph6's do against its edge-list reference
+    shuffled = []
+    shuffle = SplitMix64.shuffle
+
+    def recorded(self, items):
+        shuffled[:] = [items]
+        return shuffle(self, items)
+
+    monkeypatch.setattr(SplitMix64, "shuffle", recorded)
+    for r in (2, 3, 4, 5):
+        for n in range(r + 1, 31):
+            if n * r % 2:
+                continue
+            for seed in (1, 2, 3):
+                g = gen_random_regular(n, r, seed)
+                stubs = shuffled[0]
+                want = Graph.from_edges(n, zip(stubs[::2], stubs[1::2]))
+                assert g == want, (n, r, seed)
+                assert [tuple(s) for s in g.adj] == [tuple(s) for s in want.adj], (n, r, seed)
 
 
 def test_gen_output_pinned(capsys):

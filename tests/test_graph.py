@@ -13,7 +13,8 @@ from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular, pars
 from eds_audit.reduction import decide_eds
 
 from .conftest import (
-    bfs_distances, closed_nbhd, complete, cycle, hypercube, path, petersen, two_triangles,
+    bfs_distances, closed_nbhd, complete, cycle, hypercube, path, petersen, seeded,
+    two_triangles,
 )
 
 
@@ -113,19 +114,24 @@ def test_second_neighborhood_examples(c6, k4, pet):
     dist = bfs_distances(pet, 0)
     expected = {v for v in range(10) if dist[v] == 2}
     assert len(expected) == 6
-    for seed in (None, 1):
-        assert reduction._scan(c6, seed).far[0] == (2, 4)
-        assert reduction._scan(k4, seed).far[0] == ()
-        assert set(reduction._scan(pet, seed).far[0]) == expected
+    assert reduction._scan(c6).far[0] == (2, 4)
+    assert reduction._scan(k4).far[0] == ()
+    assert set(reduction._scan(pet).far[0]) == expected
+    # and vertex 0 of each under a seeded relabelling
+    for g, want in ((c6, {2, 4}), (k4, set()), (pet, expected)):
+        h, back = seeded(g, 1)
+        x = back.index(0)
+        assert {back[u] for u in reduction._scan(h).far[x]} == want
 
 
 def test_second_neighborhood_matches_bfs_everywhere(pet, q3, c6):
+    # in ascending id, and on a seeded relabelling
     for g in (pet, q3, c6, path(7), two_triangles()):
-        for seed in (None, 1):
-            far = reduction._scan(g, seed).far
-            for v in range(g.n):
-                dist = bfs_distances(g, v)
-                assert far[v] == tuple(u for u in range(g.n) if dist[u] == 2)
+        for h in (g, seeded(g, 1)[0]):
+            far = reduction._scan(h).far
+            for v in range(h.n):
+                dist = bfs_distances(h, v)
+                assert far[v] == tuple(u for u in range(h.n) if dist[u] == 2)
 
 
 def test_is_regular():
@@ -157,19 +163,19 @@ def graphs(draw, max_n=12):
 
 @given(graphs())
 def test_second_neighborhood_disjoint_from_closed(g):
-    for seed in (None, 1):
-        far = reduction._scan(g, seed).far
-        for v in range(g.n):
-            assert closed_nbhd(g, v).isdisjoint(far[v])
+    for h in (g, seeded(g, 1)[0]):
+        far = reduction._scan(h).far
+        for v in range(h.n):
+            assert closed_nbhd(h, v).isdisjoint(far[v])
 
 
 @given(graphs())
 def test_second_neighborhood_has_common_neighbor(g):
-    for seed in (None, 1):
-        far = reduction._scan(g, seed).far
-        for v in range(g.n):
+    for h in (g, seeded(g, 1)[0]):
+        far = reduction._scan(h).far
+        for v in range(h.n):
             for w in far[v]:
-                assert g.adj[v] & g.adj[w]
+                assert h.adj[v] & h.adj[w]
 
 
 @given(graphs())

@@ -24,7 +24,7 @@ from eds_audit.rng import rank_permutation
 
 from .conftest import (
     all_eds_bruteforce, bfs_distances, complete, cycle, distance_two, hypercube, path, petersen,
-    two_triangles,
+    relabel, seeded, two_triangles,
 )
 from .test_acceptance import criterion1_corpus
 from .test_eds import graph_and_set
@@ -130,12 +130,15 @@ def test_droppability_is_monotone(case, data):
 @settings(max_examples=150, deadline=None)
 def test_fixpoint_is_order_independent(case):
     # the theorem in reduce_to_fixpoint's docstring, on arbitrary simple graphs
-    # (irregular or disconnected) and arbitrary candidate sets
+    # (irregular or disconnected) and arbitrary candidate sets: the fixpoint
+    # of a relabelled graph, scanned in its ascending ids, is the relabelled
+    # fixpoint
     g, a = case
     expected, _ = reduce_to_fixpoint(g, a)
     for seed in range(1, 6):
-        seeded, _ = fixpoint_in(g, a, seed)
-        assert seeded == expected, (g, a, seed)
+        rank = rank_permutation(g.n, seed)
+        got, _ = reduce_to_fixpoint(relabel(g, rank), frozenset(rank[v] for v in a))
+        assert got == {rank[v] for v in expected}, (g, a, seed)
 
 
 class TestProbe:
@@ -275,10 +278,10 @@ def test_found_is_a_theorem_on_arbitrary_connected_graphs(g):
     # guard bypassed, no run raises, and every 'found' certificate verifies
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "is_regular", lambda g: 0)
-        for seed in (None, 1):
-            d = decide_eds(g, seed)
+        for h in (g, seeded(g, 1)[0]):
+            d = decide_eds(h)
             if d.verdict == VERDICT_FOUND:
-                assert verify_eds(g, d.certificate.members), (g, seed)
+                assert verify_eds(h, d.certificate.members), h
 
 
 def test_failed_certificate_check_raises(c6, monkeypatch):
@@ -289,19 +292,23 @@ def test_failed_certificate_check_raises(c6, monkeypatch):
 
 
 class TestSeededOrder:
+    """decide_eds in seeded scan orders: on the graph relabelled by
+    ``rank_permutation(n, seed)``, read back through ``seeded``'s map."""
+
     def test_c6_all_seeds_find_valid_eds(self, c6):
         valid = {frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})}
         for seed in range(1, 21):
-            d = decide_eds(c6, seed)
+            h, back = seeded(c6, seed)
+            d = decide_eds(h)
             assert d.verdict == VERDICT_FOUND
-            assert d.certificate.members in valid
+            assert frozenset(back[x] for x in d.certificate.members) in valid
 
     def test_c5_all_seeds_none(self, c5):
         for seed in range(1, 21):
-            assert decide_eds(c5, seed).verdict == VERDICT_NONE
+            assert decide_eds(seeded(c5, seed)[0]).verdict == VERDICT_NONE
 
     def test_deterministic_per_seed(self, q3):
-        assert decide_eds(q3, 9) == decide_eds(q3, 9)
+        assert decide_eds(seeded(q3, 9)[0]) == decide_eds(seeded(q3, 9)[0])
 
     def test_verdict_profile_recorded(self):
         # logging contract: collect the verdict multiset across seeds; any
@@ -309,7 +316,7 @@ class TestSeededOrder:
         g = gen_random_regular(12, 3, 3)
         profile: dict[str, int] = {}
         for seed in range(1, 51):
-            v = decide_eds(g, seed).verdict
+            v = decide_eds(seeded(g, seed)[0]).verdict
             profile[v] = profile.get(v, 0) + 1
         assert sum(profile.values()) == 50
         if len(profile) > 1:
@@ -404,11 +411,10 @@ def reference_drop_witness(g, candidates, v):
     return None
 
 
-def reference_reduce(g, current, order, log):
-    key = None if order is None else order.__getitem__
+def reference_reduce(g, current, log):
     tests = 0
     while True:
-        for v in sorted(current, key=key):
+        for v in sorted(current):
             tests += 1
             c = reference_drop_witness(g, current, v)
             if c is not None:
@@ -419,45 +425,30 @@ def reference_reduce(g, current, order, log):
             return tests
 
 
-def as_mask(t, vertices):
-    return sum(t.bit[v] for v in vertices)
+def as_mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def on_reference(fn, g, *args, **kwargs):
     """Call ``fn(g, ...)`` with the reference reduction behind the _reduce
-    seam, which reads only the scan order and the candidates off the
-    kernel's mask and ignores ``stale``."""
+    seam, which reads only the candidates off the kernel's mask and ignores
+    ``stale``."""
     def seam(t, cur, stale, log):
-        order = [b.bit_length() - 1 for b in t.bit]
-        current = {v for v in range(g.n) if cur & t.bit[v]}
-        tests = reference_reduce(g, current, order, log)
-        return as_mask(t, current), tests
+        current = {v for v in range(g.n) if cur >> v & 1}
+        tests = reference_reduce(g, current, log)
+        return as_mask(current), tests
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_reduce", seam)
         return fn(g, *args, **kwargs)
 
 
-def fixpoint_in(g, a, seed):
-    """``reduce_to_fixpoint(g, a)`` scanned in the order of ``seed``: the
-    public function for ascending id (None), else the kernel on
-    ``_scan(g, seed)``."""
-    if seed is None:
-        return reduce_to_fixpoint(g, a)
-    t = reduction._scan(g, seed)
-    log = []
-    cur, _ = reduction._reduce(t, as_mask(t, a), as_mask(t, a), log)
-    return reduction._members(t.vertex, cur), tuple(reduction._events(log, STAGE_INITIAL))
-
-
-def probe_in(g, a, anchor, seed=None):
-    """The kernel's probe of ``anchor`` in ``a``, scanned in ascending id
-    (``seed`` None) or in the order of ``seed``: the survivors, the flat
+def probe_in(g, a, anchor):
+    """The kernel's probe of ``anchor`` in ``a``: the survivors, the flat
     (vertex, witness) drop log and the rescan test count."""
-    t = reduction._scan(g, seed)
     log = []
-    cur, tests = reduction._probe(g, t, as_mask(t, a), anchor, log)
-    return reduction._members(t.vertex, cur), log, tests
+    cur, tests = reduction._probe(g, reduction._scan(g), as_mask(a), anchor, log)
+    return frozenset(v for v in range(g.n) if cur >> v & 1), log, tests
 
 
 @pytest.fixture(scope="module")
@@ -468,11 +459,12 @@ def identity_corpus():
 
 
 def test_fixpoint_and_probe_trace_identity(identity_corpus):
-    # probe_in's triple covers survivors, drop log and test count
+    # probe_in's triple covers survivors, drop log and test count; the
+    # fixpoint in ascending id and in two seeded orders
     for g in identity_corpus:
-        for seed in (None, 1, 2):
-            got = fixpoint_in(g, everything(g), seed)
-            assert got == on_reference(fixpoint_in, g, everything(g), seed)
+        for h in (g, seeded(g, 1)[0], seeded(g, 2)[0]):
+            got = reduce_to_fixpoint(h, everything(h))
+            assert got == on_reference(reduce_to_fixpoint, h, everything(h)), h
         baseline, _ = reduce_to_fixpoint(g, everything(g))
         for anchor in sorted(baseline):
             got = probe_in(g, baseline, anchor)
@@ -509,40 +501,61 @@ def test_drop_events_carry_their_stage(identity_corpus):
 @given(graph_and_set(max_n=12))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_reference_on_arbitrary_graphs(case):
-    # irregular and disconnected graphs, arbitrary candidate sets, and the
-    # seeded probe path: set, drop log with witnesses, and test count
+    # irregular and disconnected graphs, arbitrary candidate sets, in
+    # ascending id and in a seeded order: set, drop log with witnesses, and
+    # test count, of the kernel and of the public fixpoint and probe
     g, a = case
-    for seed in (None, 1):
-        t = reduction._scan(g, seed)
-        got_log, want, want_log = [], set(a), []
-        got, got_tests = reduction._reduce(t, as_mask(t, a), as_mask(t, a), got_log)
-        order = None if seed is None else rank_permutation(g.n, seed)
-        want_tests = reference_reduce(g, want, order, want_log)
-        assert (got, got_log, got_tests) == \
-            (as_mask(t, want), want_log, want_tests), (g, a, seed)
+    rank = rank_permutation(g.n, 1)
+    for h, b in ((g, a), (relabel(g, rank), frozenset(rank[v] for v in a))):
+        got_log, want, want_log = [], set(b), []
+        got, got_tests = reduction._reduce(reduction._scan(h), as_mask(b), as_mask(b), got_log)
+        want_tests = reference_reduce(h, want, want_log)
+        assert (got, got_log, got_tests) == (as_mask(want), want_log, want_tests), (h, b)
         fixpoint = frozenset(want)
-        assert fixpoint_in(g, a, seed) == \
+        assert reduce_to_fixpoint(h, b) == \
             (fixpoint, tuple(TraceEvent(KIND_DROP, v, c, STAGE_INITIAL)
                              for v, c in zip(want_log[::2], want_log[1::2])))
-        for base in (fixpoint, fixpoint_in(g, everything(g), seed)[0]):
+        for base in (fixpoint, reduce_to_fixpoint(h, everything(h))[0]):
             for anchor in sorted(base):
-                assert probe_in(g, base, anchor, seed) == \
-                    on_reference(probe_in, g, base, anchor, seed), (g, base, anchor, seed)
+                assert probe_in(h, base, anchor) == \
+                    on_reference(probe_in, h, base, anchor), (h, base, anchor)
 
 
 def test_decide_trace_identity(identity_corpus):
     # Decision equality covers verdict, reason, certificate, the full trace
-    # and work_counter
+    # and work_counter, in ascending id and in seeded orders 1-5
     for g in identity_corpus:
-        assert decide_eds(g) == on_reference(decide_eds, g), g
-        for seed in range(1, 6):
-            assert decide_eds(g, seed) == on_reference(decide_eds, g, seed), \
-                (g, seed)
+        for h in (g, *(seeded(g, seed)[0] for seed in range(1, 6))):
+            assert decide_eds(h) == on_reference(decide_eds, h), h
 
 
-# The two known findings under the default order and seeds 1-5, recorded from
-# an earlier implementation of the decide loop: verdict, reason, committed
-# anchors, work_counter and sha256 of the canonical trace.
+def lowest_witnesses(g, trace):
+    """``trace``, a decide trace on g, with each drop's witness replaced by
+    the lowest id among the witnesses that qualify at that drop, each given
+    witness checked to be one of them.  On a relabelled graph decide takes
+    the lowest id of the copy; the seeded scan orders of earlier versions
+    took the lowest id of g."""
+    cur = set(range(g.n))
+    out = []
+    for e in trace:
+        if e.kind == KIND_COMMIT:
+            cur -= g.adj[e.vertex] | set(distance_two(g, e.vertex))
+        elif e.kind == KIND_DROP:
+            witnesses = droppable_by_bruteforce(g, frozenset(cur), e.vertex)
+            assert e.witness in witnesses, e
+            e = e._replace(witness=witnesses[0])
+            cur.discard(e.vertex)
+        out.append(e)
+    return tuple(out)
+
+
+# Known findings, recorded from earlier implementations of the decide loop:
+# verdict, reason, committed anchors, work_counter and sha256 of the
+# canonical trace, in ascending id (seed None) and, for the first two, in
+# seeded orders 1-5.  Those were recorded when decide_eds took a seed; they
+# are checked on the graph relabelled by rank_permutation(n, seed), the
+# trace read back through seeded's map and its drop witnesses taken again
+# by lowest_witnesses.
 FINDING_PINS = {
     "K@U_?SRWe?O`": [
         (None, VERDICT_NONE, REASON_EXHAUSTED, (0,), 31,
@@ -577,19 +590,34 @@ FINDING_PINS = {
          (31, 21, 55, 43, 13, 1, 47, 25, 17, 51, 9, 5, 39, 35), 636,
          "225769bd1c239d6474ed518805e2a9f5b85c0440af97678239e0e2314dbbb652"),
     ],
+    # 4-regular, n = 25: it has one EDS, which avoids vertex 0, yet the
+    # probe of anchor 0 leaves 14 survivors and decide commits it
+    "XJAG?ACoG@_O?@??_PPEGCQ???GOK?Q?NB??G?P?_@?`?G_@?OB": [
+        (None, VERDICT_NONE, REASON_EXHAUSTED, (0,), 74,
+         "23b34a2ea175aa1b0f42e8c065eb40f095864c7cbefc2b5a1e60998d080a7930"),
+    ],
 }
 
 
 @pytest.mark.parametrize("source", sorted(FINDING_PINS))
 def test_known_findings_pinned(source):
     # the decide loop itself, checked against values from outside it: the
-    # graph6 finding goes wrong at commit 1, GP(28,11) at commit 2
+    # n = 12 graph6 finding goes wrong at commit 1, GP(28,11) at commit 2,
+    # the n = 25 one at commit 1
     if ":" in source:
         g = parse_genspec(source).build()
     else:
         g = parse_graph6(source)
     for seed, verdict, reason, committed, work, digest in FINDING_PINS[source]:
-        d = decide_eds(g, seed)
+        if seed is None:
+            d = decide_eds(g)
+        else:
+            h, back = seeded(g, seed)
+            d = decide_eds(h)
+            trace = [e._replace(vertex=back[e.vertex],
+                                witness=None if e.witness is None else back[e.witness])
+                     for e in d.trace]
+            d = d._replace(trace=lowest_witnesses(g, trace))
         trace = decide_report_doc(encode_graph6(g), d, include_trace=True)["trace"]
         trace_sha = hashlib.sha256(json_line(trace).encode()).hexdigest()
         assert (d.verdict, d.reason, d.committed, d.work_counter, trace_sha) == \
@@ -704,28 +732,22 @@ def test_probe_each_matches_probe(case):
 
 
 def test_drop_tables_match_their_definitions():
+    # masks over vertex ids, in ascending id and on a seeded relabelling
     for g in (cycle(6), complete(4), hypercube(3), petersen(), path(7), two_triangles(),
               complete(5)):
-        for seed in (None, 1):
-            rank = range(g.n) if seed is None else rank_permutation(g.n, seed)
-            t = reduction._scan(g, seed)
-            assert reduction._scan(g, seed) is t  # the memo's hit
-
-            def mask(vertices):
-                return sum(1 << rank[u] for u in vertices)
-
-            assert t.bit == tuple(1 << rank[v] for v in range(g.n))
-            assert [t.vertex[rank[v]] for v in range(g.n)] == list(range(g.n))
-            for v in range(g.n):
-                dist = bfs_distances(g, v)
-                assert t.far[v] == tuple(u for u in range(g.n) if dist[u] == 2)
-                assert t.nbr[v] == mask(g.adj[v])
-                assert t.ball[v] == mask(g.adj[v] | set(distance_two(g, v)))
-            for x in range(g.n):
+        for h in (g, seeded(g, 1)[0]):
+            t = reduction._scan(h)
+            assert reduction._scan(h) is t  # the memo's hit
+            for v in range(h.n):
+                dist = bfs_distances(h, v)
+                assert t.far[v] == tuple(u for u in range(h.n) if dist[u] == 2)
+                assert t.nbr[v] == as_mask(h.adj[v])
+                assert t.ball[v] == as_mask(h.adj[v] | set(distance_two(h, v)))
+            for x in range(h.n):
                 # reach[x] holds exactly the vertices at distance 2 from a
                 # neighbour of x, among them every vertex with a row
                 # N(c) - N(v) holding x
-                assert t.reach[x] == mask(set().union(*(distance_two(g, u) for u in g.adj[x])))
-                for v in range(g.n):
-                    if any(x in g.adj[c] - g.adj[v] for c in t.far[v]):
-                        assert t.reach[x] & t.bit[v], (g, seed, x, v)
+                assert t.reach[x] == as_mask(set().union(*(distance_two(h, u) for u in h.adj[x])))
+                for v in range(h.n):
+                    if any(x in h.adj[c] - h.adj[v] for c in t.far[v]):
+                        assert t.reach[x] >> v & 1, (h, x, v)
