@@ -21,15 +21,13 @@ from .generators import GenSpec, parse_genspecs
 from .graph import (
     Graph, encode_graph6, graph6_size_prefix, is_connected, is_regular, parse_graph6,
 )
-from .oracle import solve_exact
+from .oracle import DEFAULT_MAX_N, solve_exact
 from .records import (
     FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, KIND_AUDIT, KIND_SKIP, KIND_SUMMARY,
     CompareRecord, SkipRecord, compute_agree, decide_report_doc, json_line,
     oracle_report_doc, save_counterexample,
 )
-from .reduction import (
-    REASON_EXHAUSTED, decide_eds, precondition_error, probe_each, reduce_to_fixpoint,
-)
+from .reduction import REASON_EXHAUSTED, decide_eds, precondition_error, probe_each
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,14 +57,16 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     graph6 error of its line, raised after the rows of the lines before it.
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
-    record and replay refers to.  A --gen spec whose generator gives up
-    yields its capacity SkipRecord instead (graph6 "", since no graph exists).
+    record and replay refers to.  A --gen spec above the command's size guard
+    (--max-n, else the oracle's default), or whose generator gives up, yields
+    its capacity SkipRecord instead (graph6 "", since no graph is built).
     """
     gen_args = getattr(args, "gen", None) or []
     if gen_args:
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
-        return _built(_genspecs(gen_args))
+        cap = DEFAULT_MAX_N if args.max_n is None else args.max_n
+        return _built(_genspecs(gen_args), cap)
     if args.input is None or args.input == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -95,14 +95,19 @@ def _genspecs(texts: list[str]) -> Iterator[GenSpec]:
     return chain.from_iterable([parse_genspecs(text) for text in texts])
 
 
-def _built(specs: Iterable[GenSpec]) -> Iterator[tuple[str, str, Graph] | SkipRecord]:
+def _built(specs: Iterable[GenSpec], cap: int) -> Iterator[tuple[str, str, Graph] | SkipRecord]:
+    """Build each spec of at most ``cap`` vertices.  A larger spec is never
+    built, since its graph or its graph6 string may not fit in memory: like
+    a spec whose generator gives up, it gets a capacity SkipRecord."""
     for spec in specs:
         try:
-            g = spec.build()
+            g = spec.build() if spec.order <= cap else None
         except CapacityError:
-            yield SkipRecord("", spec.n, REASON_CAPACITY, spec.canonical())
-            continue
-        yield encode_graph6(g), spec.canonical(), g
+            g = None
+        if g is None:
+            yield SkipRecord("", spec.order, REASON_CAPACITY, spec.canonical())
+        else:
+            yield encode_graph6(g), spec.canonical(), g
 
 
 def _decoded(lines: list[tuple[int | None, str]]) -> Iterator[tuple[str, None, Graph]]:
@@ -274,10 +279,10 @@ def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> di
         union = frozenset().union(*solutions)
         # droppability is monotone (reduce_to_fixpoint), so a solution vertex
         # droppable from V cannot reach the fixpoint: the drop log names it
-        baseline, drops = reduce_to_fixpoint(g, frozenset(range(g.n)))
+        drops, probes = probe_each(g, frozenset(range(g.n)))
         filter_violations = [{"vertex": e.vertex, "witness": e.witness}
                              for e in drops if e.vertex in union]
-        for anchor, survivors in zip(sorted(baseline), probe_each(g, baseline)):
+        for anchor, survivors in probes.items():
             if anchor in union:
                 if not survivors:
                     probe_violations.append({"anchor": anchor})

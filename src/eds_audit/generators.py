@@ -193,6 +193,16 @@ class GenSpec(_GenSpecFields):
             parts.append(f"{name}={text}")
         return f"{self.family}:{','.join(parts)}"
 
+    @property
+    def order(self) -> int:
+        """The vertex count of the graph ``build`` makes, read off the
+        fields without building it."""
+        if self.family == "hypercube":
+            return 1 << self.d
+        if self.family == "generalized-petersen":
+            return 2 * self.n
+        return self.n
+
     def build(self) -> Graph:
         builder, params, _ = _FAMILIES[self.family]
         return builder(*(getattr(self, p) for p in params))

@@ -104,10 +104,6 @@ class Graph:
                     queue.append(u)
         return len(seen) == self.n
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex id {v} out of range for n={self.n}")
-
 
 def is_regular(g: Graph) -> int | None:
     """Return the common degree if every vertex has it, else None."""

@@ -25,7 +25,6 @@ converse can fail only as a 'none-exists' verdict on a graph that has one.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds
@@ -139,10 +138,6 @@ def _bits(m: int) -> list[int]:
     return out
 
 
-# One slot: only audit-facts scans a graph twice (``reduce_to_fixpoint``,
-# then ``probe_each``), and back to back; every other path scans each graph
-# once, so a larger memo would only keep dead graphs alive.
-@lru_cache(maxsize=1)
 def _scan(g: Graph) -> _Scan:
     """The tables for ``g``, all built from the neighbour masks: the
     distance-2 mask of v is the OR of N(u) over u in N(v), less N(v) and v
@@ -212,8 +207,9 @@ def _candidates(g: Graph, a: VertexSet) -> tuple[_Scan, int]:
     without checks, where -1 would alias n - 1, so stray ids are rejected
     here: checking ``min(a)`` and ``max(a)`` checks every id."""
     if a:
-        g._check_vertex(min(a))
-        g._check_vertex(max(a))
+        for v in (min(a), max(a)):
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex id {v} out of range for n={g.n}")
     return _scan(g), _mask(a)
 
 
@@ -234,6 +230,10 @@ def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[Tr
     in F2 it would be droppable in F2, which is a fixed point, so vi is not
     in F2 either.  Hence F2 is a subset of F1 = a - {v1..vk}, and by symmetry
     F1 = F2.
+
+    No CLI path calls ``reduce_to_fixpoint`` (``audit-facts`` uses
+    ``probe_each``); it stays because ``bench/spans.py`` wraps
+    ``reduction.reduce_to_fixpoint`` by name, and goes when that span does.
     """
     t, cur = _candidates(g, a)
     log: list[int] = []
@@ -265,20 +265,18 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
     return frozenset(_bits(cur))
 
 
-def probe_each(g: Graph, a: VertexSet) -> list[frozenset[int]]:
-    """``[probe(g, a, x) for x in sorted(a)]``, with the checks and the mask
-    of ``a`` made once.
+def probe_each(g: Graph, a: VertexSet) -> tuple[tuple[TraceEvent, ...], dict[int, frozenset[int]]]:
+    """Reduce ``a`` to its fixpoint F and probe every vertex of F, from one
+    build of the tables.
 
-    ``a`` must be a fixpoint of the drop filter, as for ``probe``.
+    Returns ``reduce_to_fixpoint(g, a)[1]``, the drop log, and
+    ``{x: probe(g, F, x)}`` for each x of F in ascending id.
     """
-    t, base = _candidates(g, a)
+    t, cur = _candidates(g, a)
     log: list[int] = []
-    out = []
-    for x in _bits(base):
-        log.clear()
-        cur, _ = _probe(g, t, base, x, log)
-        out.append(frozenset(_bits(cur)))
-    return out
+    base, _ = _reduce(t, cur, cur, log)
+    probes = {x: frozenset(_bits(_probe(g, t, base, x, [])[0])) for x in _bits(base)}
+    return tuple(_events(log, STAGE_INITIAL)), probes
 
 
 def precondition_error(g: Graph) -> str | None:

@@ -6,12 +6,11 @@ bit-reproducible across platforms and implementations:
 - state update: state += 0x9E3779B97F4A7C15 (mod 2^64)
 - output: z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
   z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31  (all mod 2^64)
-- batched draws: draws(k) is the next k outputs, the same stream as k
-  next_u64() calls, computed in packed-integer blocks of up to 16 outputs
 - shuffle: Fisher-Yates from the last index down, j = next_u64() % (i + 1),
   lazily: the swap at i fixes items[i] for good, so it is yielded then, and
   items[0] comes last; a caller can stop at the first position it rejects,
-  and the draws are computed a block at a time as positions need them
+  and the draws are computed in packed-integer blocks of up to 16 outputs,
+  a block at a time as positions need them
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ class SplitMix64:
         z = ((z ^ z >> 30) & low) * _MIX1 & low
         z = ((z ^ z >> 27) & low) * _MIX2 & low
         return _UNPACK[m]((z ^ z >> 31).to_bytes(m * 16, "little"))
-
-    def draws(self, k: int) -> list[int]:
-        """The next k outputs: the same values and the same final state as
-        k calls of next_u64()."""
-        out: list[int] = []
-        while k > 0:
-            m = min(k, _LANES)
-            out += self._block(m)
-            k -= m
-        return out
 
     def shuffle(self, items: list) -> Iterator:
         """Shuffle ``items`` in place, yielding each position as it is fixed.

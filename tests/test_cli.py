@@ -13,7 +13,7 @@ import pytest
 
 import eds_audit.cli as cli
 from eds_audit import reduction
-from eds_audit.generators import gen_petersen, gen_random_regular, parse_genspec
+from eds_audit.generators import GenSpec, gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
 from eds_audit.reduction import reduce_to_fixpoint
@@ -348,6 +348,31 @@ def test_audit_facts_cycles(capsys, tmp_path):
     assert summary["sound"] == summary["total"] == 10
 
 
+def test_oversize_gen_specs_are_skipped_unbuilt(capsys, monkeypatch):
+    # a spec above the size guard gets its capacity row from its fields:
+    # building a million-vertex cycle, let alone encoding it, is never tried
+    real, big = GenSpec.build, "cycle:n=1000000"
+
+    def guarded(spec):
+        if spec.canonical() == big:
+            raise AssertionError(f"built {big}")
+        return real(spec)
+
+    monkeypatch.setattr(GenSpec, "build", guarded)
+    for argv, summary in (
+            (["compare", "--deterministic"], {"records": 1, "skips": 1, "total": 2}),
+            (["audit-facts"], {"total": 1, "sound": 1}),
+            (["compare", "--deterministic", "--max-n", "9"], {"records": 1, "skips": 1}),
+            (["audit-facts", "--max-n", "9"], {"total": 1, "sound": 1})):
+        code, out, _ = run(capsys, *argv, "--gen", big, "--gen", "cycle:n=9")
+        assert code == 3, argv
+        rows = out_lines(out)
+        assert rows[0] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 1_000_000,
+                           "genspec": big}, argv
+        assert rows[1]["n"] == 9 and len(rows) == 3, argv
+        assert summary.items() <= rows[2].items(), argv
+
+
 def test_audit_facts_capacity(capsys):
     code, out, _ = run(capsys, "audit-facts", "--gen", "cycle:n=25")
     assert code == 3
@@ -392,13 +417,29 @@ def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
     real = cli.probe_each
 
     def broken(g, a):
-        return [frozenset() if x == 3 else s for x, s in zip(sorted(a), real(g, a))]
+        drops, probes = real(g, a)
+        return drops, {x: frozenset() if x == 3 else s for x, s in probes.items()}
 
     monkeypatch.setattr(cli, "probe_each", broken)
     row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
     assert row["sound"] is False
     assert row["filter_soundness_violations"] == []
     assert row["probe_soundness_violations"] == [{"anchor": 3}]
+
+
+def test_audit_builds_the_kernel_tables_once_per_graph(monkeypatch):
+    # one probe_each call reduces and probes, so one scan serves both
+    real, graphs = reduction._scan, []
+
+    def counted(g):
+        graphs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(reduction, "_scan", counted)
+    item = audit_c6()
+    row = cli._audit_one(item, cli.AUDIT_DEFAULT_MAX_N)
+    assert row["eds_count"] == 3 and row["sound"] is True
+    assert graphs == [item[2]]
 
 
 def reference_audit_lists(g: Graph) -> tuple[list, list, list]:

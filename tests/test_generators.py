@@ -176,7 +176,8 @@ def test_genspec_roundtrip():
         spec = parse_genspec(text)
         assert spec.canonical() == text
         assert list(parse_genspecs(text)) == [spec]
-        spec.build()
+        # order is read off the fields, for the size guard, before any build
+        assert spec.order == spec.build().n, text
 
 
 def test_genspec_builds_expected():
@@ -294,13 +295,14 @@ def test_rank_permutation_properties():
 
 
 def test_draws_match_successive_next_u64():
-    # partial, whole and several packed blocks, and seeds that wrap mod 2^64
-    b = rng._LANES
+    # every block size, twice in a row, and seeds that wrap mod 2^64
     for seed in (0, 1, 2**64 - 1, -1, 2**64 + 5):
-        for k in (0, 1, 2, b - 1, b, b + 1, 3 * b + 5):
-            batched, single = SplitMix64(seed), SplitMix64(seed)
-            assert batched.draws(k) == [single.next_u64() for _ in range(k)], (seed, k)
-            assert batched.state == single.state, (seed, k)
+        for m in range(rng._LANES + 1):
+            packed, single = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(2):
+                assert packed._block(m) == tuple(single.next_u64() for _ in range(m)), \
+                    (seed, m)
+                assert packed.state == single.state, (seed, m)
 
 
 def test_shuffle_matches_randbelow_fisher_yates():
@@ -332,7 +334,8 @@ def test_shuffle_matches_randbelow_fisher_yates():
                 # the state has moved past each block begun, no further
                 taken = min(length - 1, -(-stop // b) * b)
                 skip = SplitMix64(seed)
-                skip.draws(taken)
+                for _ in range(taken):
+                    skip.next_u64()
                 assert gen.state == skip.state, (seed, length, stop)
             got = list(range(length))
             gen = SplitMix64(seed)
