@@ -58,15 +58,14 @@ def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]
     Each graph of a file, stdin or --gen is then built or decoded right before
     the caller processes it, and only once.  Its canonical graph6 string is what every downstream
     record and replay refers to.  A --gen spec above the command's size guard
-    (--max-n, else the oracle's default), or whose generator gives up, yields
-    its capacity SkipRecord instead (graph6 "", since no graph is built).
+    (--max-n), or whose generator gives up, yields its capacity SkipRecord
+    instead (graph6 "", since no graph is built).
     """
     gen_args = getattr(args, "gen", None) or []
     if gen_args:
         if args.input is not None:
             raise ParseError("give either an input or --gen, not both")
-        cap = DEFAULT_MAX_N if args.max_n is None else args.max_n
-        return _built(_genspecs(gen_args), cap)
+        return _built(_genspecs(gen_args), args.max_n)
     if args.input is None or args.input == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -100,12 +99,13 @@ def _built(specs: Iterable[GenSpec], cap: int) -> Iterator[tuple[str, str, Graph
     built, since its graph or its graph6 string may not fit in memory: like
     a spec whose generator gives up, it gets a capacity SkipRecord."""
     for spec in specs:
+        n = spec.order
         try:
-            g = spec.build() if spec.order <= cap else None
+            g = spec.build() if n <= cap else None
         except CapacityError:
             g = None
         if g is None:
-            yield SkipRecord("", spec.order, REASON_CAPACITY, spec.canonical())
+            yield SkipRecord("", n, REASON_CAPACITY, spec.canonical())
         else:
             yield encode_graph6(g), spec.canonical(), g
 
@@ -177,7 +177,7 @@ def cmd_oracle(args) -> int:
 
 
 def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic: bool,
-                 cap: int | None, save_dir: Path | None) -> dict:
+                 cap: int, save_dir: Path | None) -> dict:
     """One compare row for a collect_inputs item.  A row that disagrees with
     the oracle also gets a counterexample file in save_dir, if one is given."""
     if isinstance(item, SkipRecord):
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the exact oracle per graph")
     add_input(p, with_gen=False)
     p.add_argument("--enumerate", action="store_true", help="enumerate all solutions")
-    p.add_argument("--max-n", type=_size_guard, help="override the oracle size guard")
+    p.add_argument("--max-n", type=_size_guard, default=DEFAULT_MAX_N,
+                   help=f"oracle size guard (default {DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="run both solvers and record agreement")
@@ -383,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for replayable disagreement files")
     p.add_argument("--deterministic", action="store_true",
                    help="zeroed timings, byte-stable output")
-    p.add_argument("--max-n", type=_size_guard, help="override the oracle size guard")
+    p.add_argument("--max-n", type=_size_guard, default=DEFAULT_MAX_N,
+                   help=f"oracle size guard (default {DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("audit-facts",

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Malformed input; ``offset`` is a 0-based byte offset into graph6 text, if known."""
+    """Malformed input; ``offset``, a 0-based byte offset into graph6 text if
+    known, is named at the end of the message."""
 
     def __init__(self, message: str, *, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 class CapacityError(RuntimeError):

@@ -16,9 +16,10 @@ from .rng import SplitMix64
 PAIRING_RETRY_BUDGET = 10_000
 
 
-def _check_cycle(n: int) -> None:
+def _check_cycle(n: int) -> int:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    return n
 
 
 def gen_cycle(n: int) -> Graph:
@@ -26,9 +27,10 @@ def gen_cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _check_complete(n: int) -> None:
+def _check_complete(n: int) -> int:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    return n
 
 
 def gen_complete(n: int) -> Graph:
@@ -36,19 +38,19 @@ def gen_complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
 
 
-def _check_hypercube(d: int) -> None:
+def _check_hypercube(d: int) -> int:
     if d < 1:
         raise ValueError("hypercube needs dimension >= 1")
+    return 1 << d
 
 
 def gen_hypercube(d: int) -> Graph:
-    _check_hypercube(d)
-    n = 1 << d
+    n = _check_hypercube(d)
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
     return Graph.from_edges(n, edges)
 
 
-def _check_circulant(n: int, offsets: tuple[int, ...]) -> None:
+def _check_circulant(n: int, offsets: tuple[int, ...]) -> int:
     if n < 1:
         raise ValueError("circulant needs n >= 1")
     if not offsets:
@@ -56,6 +58,7 @@ def _check_circulant(n: int, offsets: tuple[int, ...]) -> None:
     for o in sorted(set(offsets)):
         if not 0 < o <= n // 2:
             raise ValueError(f"offset {o} outside 1..n/2")
+    return n
 
 
 def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
@@ -65,11 +68,12 @@ def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-def _check_petersen(n: int, k: int) -> None:
+def _check_petersen(n: int, k: int) -> int:
     if n < 3:
         raise ValueError("generalized Petersen needs n >= 3")
     if not 1 <= k < n / 2:
         raise ValueError("generalized Petersen needs 1 <= k < n/2")
+    return 2 * n
 
 
 def gen_petersen(n: int, k: int) -> Graph:
@@ -85,12 +89,13 @@ def gen_petersen(n: int, k: int) -> Graph:
     return Graph.from_edges(2 * n, edges)
 
 
-def _check_random_regular(n: int, r: int, seed: int) -> None:
+def _check_random_regular(n: int, r: int, seed: int) -> int:
     # every seed is in range
     if n < 1 or r < 0 or r >= n:
         raise ValueError("random regular graph needs 0 <= r < n")
     if (n * r) % 2:
         raise ValueError("random regular graph needs n*r even")
+    return n
 
 
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:
@@ -137,8 +142,11 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
 
 # family -> (builder, its parameter names in argument and canonical order,
 # the check that raises ValueError unless the builder's arguments are in
-# range; the builder runs it first, and GenSpec when a spec is parsed)
-_Family = tuple[Callable[..., Graph], tuple[str, ...], Callable[..., None]]
+# range and else returns the vertex count of the graph the builder makes;
+# the builder runs it first, and parse_genspecs once per spec text).  A
+# seed, the one parameter that may be a range, comes last, and no check
+# reads it.
+_Family = tuple[Callable[..., Graph], tuple[str, ...], Callable[..., int]]
 _FAMILIES: dict[str, _Family] = {
     "cycle": (gen_cycle, ("n",), _check_cycle),
     "complete": (gen_complete, ("n",), _check_complete),
@@ -149,63 +157,34 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-def _family(name: str) -> _Family:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown graph family {name!r}") from None
+class GenSpec(NamedTuple):
+    """One generator invocation: a family and its parameter values in
+    _FAMILIES order, with a canonical string form for CLI flags and report
+    rows (e.g. 'random-regular:n=10,r=3,seed=42').
 
-
-class _GenSpecFields(NamedTuple):
-    family: str
-    n: int | None = None
-    r: int | None = None
-    d: int | None = None
-    k: int | None = None
-    offsets: tuple[int, ...] | None = None
-    seed: int | None = None
-
-
-class GenSpec(_GenSpecFields):
-    """One generator invocation, with a canonical string form for CLI flags
-    and report rows (e.g. 'random-regular:n=10,r=3,seed=42').
-
-    The family must be known, and each of its parameters set and in range,
-    so a spec that parses has a graph, or a CapacityError, when built.
+    parse_genspecs is the one validated way to make a spec, so a spec it
+    makes has a graph, or a CapacityError, when built.  A spec made
+    directly is checked by ``order`` and ``build``, before any graph is made.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "GenSpec":
-        self = super().__new__(cls, *args, **kwargs)
-        _, params, check = _family(self.family)
-        missing = [p for p in params if getattr(self, p) is None]
-        if missing:
-            raise ValueError(f"{self.family} spec missing {sorted(missing)}")
-        check(*(getattr(self, p) for p in params))
-        return self
+    family: str
+    args: tuple
 
     def canonical(self) -> str:
         parts = []
-        for name in _FAMILIES[self.family][1]:
-            value = getattr(self, name)
+        for name, value in zip(_FAMILIES[self.family][1], self.args):
             text = "+".join(map(str, value)) if name == "offsets" else value
             parts.append(f"{name}={text}")
         return f"{self.family}:{','.join(parts)}"
 
     @property
     def order(self) -> int:
-        """The vertex count of the graph ``build`` makes, read off the
-        fields without building it."""
-        if self.family == "hypercube":
-            return 1 << self.d
-        if self.family == "generalized-petersen":
-            return 2 * self.n
-        return self.n
+        """The vertex count of the graph ``build`` makes, from the family's
+        range check, without building it."""
+        return _FAMILIES[self.family][2](*self.args)
 
     def build(self) -> Graph:
-        builder, params, _ = _FAMILIES[self.family]
-        return builder(*(getattr(self, p) for p in params))
+        return _FAMILIES[self.family][0](*self.args)
 
 
 def _seed_range(value: str) -> range:
@@ -224,12 +203,16 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
     """Parse 'family:key=value,...', keys in any order.
 
     A 'seed=A..B' wherever it appears expands to one spec per seed, A to B
-    inclusive, in seed order.  The whole text is checked by this call; the
-    specs are built one at a time as the iterator reaches them.
+    inclusive, in seed order.  This is the one validated way to make a
+    GenSpec: the whole text is checked by this call, and the specs are made
+    one at a time as the iterator reaches them.
     """
     family, _, rest = text.partition(":")
     family = family.strip()
-    _, params, _ = _family(family)
+    try:
+        _, params, check = _FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown graph family {family!r}") from None
     fields: dict[str, object] = {}
     for chunk in filter(None, (p.strip() for p in rest.split(","))):
         key, eq, value = chunk.partition("=")
@@ -251,13 +234,15 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
                 fields[key] = int(value)
             except ValueError:
                 raise ValueError(f"non-integer value in {chunk!r}") from None
-    seed = fields.pop("seed", None)
-    seeds = seed if isinstance(seed, range) else (seed,)
-    # a missing or out-of-range parameter raises here; the seed is all
-    # that differs later
-    GenSpec(family, seed=seeds[0], **fields)  # type: ignore[arg-type]
-    return (GenSpec(family, seed=s, **fields)  # type: ignore[arg-type]
-            for s in seeds)
+    missing = [p for p in params if p not in fields]
+    if missing:
+        raise ValueError(f"{family} spec missing {sorted(missing)}")
+    *head, last = (fields[p] for p in params)
+    seeds = last if isinstance(last, range) else (last,)
+    # an out-of-range parameter raises here, once for the text: only a
+    # seed, the last parameter, differs later, and no check reads it
+    check(*head, seeds[0])
+    return (GenSpec(family, (*head, s)) for s in seeds)
 
 
 def parse_genspec(text: str) -> GenSpec:

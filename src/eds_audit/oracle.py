@@ -22,7 +22,7 @@ class OracleReport(NamedTuple):
     nodes_explored: int
 
 
-def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = None
+def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int = DEFAULT_MAX_N
                 ) -> OracleReport:
     """Exact-cover backtracking over closed neighborhoods.
 
@@ -44,11 +44,10 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int | None = No
     makes unavailable, at most |N[N[x]]|.  A node with a cover left to try
     keeps a frame of both ints, the covers not yet tried, and its depth.
     """
-    cap = DEFAULT_MAX_N if max_n is None else max_n
     if g.n == 0:
         raise ValueError("oracle requires a nonempty graph")
-    if g.n > cap:
-        raise CapacityError(f"n={g.n} exceeds the oracle size guard {cap}")
+    if g.n > max_n:
+        raise CapacityError(f"n={g.n} exceeds the oracle size guard {max_n}")
 
     r = is_regular(g)
     if r is not None and g.n % (r + 1):

@@ -349,8 +349,9 @@ def test_audit_facts_cycles(capsys, tmp_path):
 
 
 def test_oversize_gen_specs_are_skipped_unbuilt(capsys, monkeypatch):
-    # a spec above the size guard gets its capacity row from its fields:
-    # building a million-vertex cycle, let alone encoding it, is never tried
+    # a spec above the size guard gets its capacity row from its family's
+    # range check: building a million-vertex cycle, let alone encoding it,
+    # is never tried
     real, big = GenSpec.build, "cycle:n=1000000"
 
     def guarded(spec):
@@ -371,6 +372,27 @@ def test_oversize_gen_specs_are_skipped_unbuilt(capsys, monkeypatch):
                            "genspec": big}, argv
         assert rows[1]["n"] == 9 and len(rows) == 3, argv
         assert summary.items() <= rows[2].items(), argv
+
+
+def test_default_size_guards_at_their_boundaries(capsys):
+    # with no --max-n, oracle and compare admit n = 128 and audit-facts n = 20;
+    # one vertex more is a capacity row and exit 3
+    for n, code_want in ((128, 0), (129, 3)):
+        skip = {"kind": "skip", "reason": "capacity", "graph6": "", "n": n,
+                "genspec": f"cycle:n={n}"}
+        code, out, _ = run(capsys, "compare", "--deterministic", "--gen", f"cycle:n={n}")
+        row = out_lines(out)[0]
+        assert code == code_want, n
+        assert row["kind"] == "record" if n == 128 else row == skip, n
+        code, out, _ = run(capsys, "oracle", encode_graph6(cycle(n)))
+        row = out_lines(out)[0]
+        assert code == code_want, n
+        assert ("error" not in row) if n == 128 else row["error"] == "capacity", n
+    for n, code_want in ((20, 0), (21, 3)):
+        code, out, _ = run(capsys, "audit-facts", "--gen", f"cycle:n={n}")
+        row = out_lines(out)[0]
+        assert code == code_want, n
+        assert row["kind"] == "audit" if n == 20 else row["reason"] == "capacity", n
 
 
 def test_audit_facts_capacity(capsys):

@@ -261,14 +261,40 @@ def test_parse_genspec_rejects_a_range():
 
 
 def test_genspec_needs_every_parameter():
+    # parse_genspecs is where a spec is checked, so it names what is missing
     with pytest.raises(ValueError, match="missing"):
-        GenSpec(family="cycle").build()
+        parse_genspecs("cycle:")
     with pytest.raises(ValueError, match=r"missing \['k', 'n'\]"):
-        GenSpec(family="generalized-petersen")
+        parse_genspecs("generalized-petersen:")
     with pytest.raises(ValueError, match="missing"):
-        GenSpec(family="random-regular", n=8, r=3)
+        parse_genspecs("random-regular:n=8,r=3")
     with pytest.raises(ValueError, match="unknown graph family"):
-        GenSpec(family="torus", n=5)
+        parse_genspecs("torus:n=5")
+
+
+def test_seed_range_is_range_checked_once(monkeypatch):
+    # every seed of a range shares the other parameters, so one check of the
+    # text covers all the specs it names
+    builder, params, check = generators._FAMILIES["random-regular"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setitem(generators._FAMILIES, "random-regular", (builder, params, counted))
+    specs = list(parse_genspecs("random-regular:n=8,r=3,seed=1..50"))
+    assert calls == [(8, 3, 1)]
+    assert [spec.args for spec in specs] == [(8, 3, s) for s in range(1, 51)]
+
+
+def test_direct_genspec_is_checked_before_building(monkeypatch):
+    # a spec made without parse_genspecs raises from order and build alike
+    spec = GenSpec("generalized-petersen", (6, 3))
+    monkeypatch.setattr(generators.Graph, "from_edges", None)
+    for use in (lambda: spec.order, spec.build):
+        with pytest.raises(ValueError, match="1 <= k < n/2"):
+            use()
 
 
 def test_splitmix64_reference_vector():
