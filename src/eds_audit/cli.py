@@ -1,8 +1,9 @@
 """Command-line harness: decide | oracle | compare | audit-facts | gen.
 
 Exit codes: 0 = ran to completion (disagreement findings included), 2 = input
-or usage error, 3 = capacity error.  Disagreement between the decision
-procedure and the oracle is a recorded finding, never a failure.
+or usage error, 3 = capacity error; a run exits with the largest code any of
+its rows calls for (_exit_code).  Disagreement between the decision procedure
+and the oracle is a recorded finding, never a failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, ParseError
 from .generators import GenSpec, parse_genspecs
@@ -38,12 +39,10 @@ AUDIT_DEFAULT_MAX_N = 20
 # skip-row reason for a graph above the oracle or audit size guard
 REASON_CAPACITY = "capacity"
 
-
-def _print(line: str, out) -> None:
-    out.write(line + "\n")
+_Item = tuple[str, str | None, Graph]  # a collect_inputs graph: (graph6, genspec, g)
 
 
-def collect_inputs(args) -> Iterator[tuple[str, str | None, Graph] | SkipRecord]:
+def collect_inputs(args) -> Iterator[_Item | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
     The input is stdin ("-" or none), any existing path that is not a
@@ -136,52 +135,70 @@ def _open_out(args):
     return nullcontext(sys.stdout)
 
 
+def _exit_code(row: dict) -> int:
+    """3 for a capacity error row or capacity skip, 2 for any other error
+    row, and 0 for every other row, skip rows for other reasons included."""
+    if "error" in row:
+        return EXIT_CAPACITY if row["error"] == REASON_CAPACITY else EXIT_INPUT
+    if row.get("kind") == KIND_SKIP and row["reason"] == REASON_CAPACITY:
+        return EXIT_CAPACITY
+    return EXIT_OK
+
+
+def _write_rows(args, inputs: Iterable[_Item | SkipRecord], row_of: Callable[[_Item], dict],
+                tally: Callable[[dict], None] | None = None, summary: dict | None = None) -> int:
+    """Write each collect_inputs item's row to --out or stdout, show it to
+    ``tally`` if one is given, then print ``summary``, which tally keeps, to
+    stdout.  A --gen spec's capacity SkipRecord is its own row; row_of makes
+    the rest.  Returns the largest _exit_code of the rows."""
+    status = EXIT_OK
+    with _open_out(args) as out:
+        for item in inputs:
+            row = item.to_json_dict() if isinstance(item, SkipRecord) else row_of(item)
+            print(json_line(row), file=out)
+            if tally is not None:
+                tally(row)
+            status = max(status, _exit_code(row))
+        if summary is not None:
+            print(json_line(summary))
+    return status
+
+
 # decide
 
 
 def cmd_decide(args) -> int:
-    status = EXIT_OK
-    for graph6, _, g in collect_inputs(args):
+    def row(item: _Item) -> dict:
+        graph6, _, g = item
         err = precondition_error(g)
         if err:
-            _print(json_line({"graph6": graph6, "error": err}), sys.stdout)
-            status = EXIT_INPUT
-            continue
-        doc = decide_report_doc(graph6, decide_eds(g), include_trace=args.trace)
-        _print(json_line(doc), sys.stdout)
-    return status
+            return {"graph6": graph6, "error": err}
+        return decide_report_doc(graph6, decide_eds(g), include_trace=args.trace)
+    return _write_rows(args, collect_inputs(args), row)
 
 
 # oracle
 
 
 def cmd_oracle(args) -> int:
-    status = EXIT_OK
-    for graph6, _, g in collect_inputs(args):
+    def row(item: _Item) -> dict:
+        graph6, _, g = item
         if g.n == 0:  # decide's row: the oracle has no graph to search
-            _print(json_line({"graph6": graph6, "error": "empty-graph"}), sys.stdout)
-            status = max(status, EXIT_INPUT)
-            continue
+            return {"graph6": graph6, "error": "empty-graph"}
         try:
             report = solve_exact(g, enumerate_all=args.enumerate, max_n=args.max_n)
         except CapacityError as exc:
-            _print(json_line({"graph6": graph6, "error": "capacity", "message": str(exc)}),
-                   sys.stdout)
-            status = max(status, EXIT_CAPACITY)
-            continue
-        _print(json_line(oracle_report_doc(graph6, report)), sys.stdout)
-    return status
+            return {"graph6": graph6, "error": REASON_CAPACITY, "message": str(exc)}
+        return oracle_report_doc(graph6, report)
+    return _write_rows(args, collect_inputs(args), row)
 
 
 # compare
 
 
-def _compare_one(item: tuple[str, str | None, Graph] | SkipRecord, deterministic: bool,
-                 cap: int, save_dir: Path | None) -> dict:
+def _compare_one(item: _Item, deterministic: bool, cap: int, save_dir: Path | None) -> dict:
     """One compare row for a collect_inputs item.  A row that disagrees with
     the oracle also gets a counterexample file in save_dir, if one is given."""
-    if isinstance(item, SkipRecord):
-        return item.to_json_dict()
     graph6, genspec, g = item
     err = precondition_error(g)
     if err:
@@ -229,40 +246,27 @@ def cmd_compare(args) -> int:
     # --out is truncated and before any processing
     if save_dir is not None:
         save_dir.mkdir(parents=True, exist_ok=True)
-    with _open_out(args) as out:
-        status = EXIT_OK
-        records = skips = agreements = max_work_counter = 0
-        for item in inputs:
-            row = _compare_one(item, args.deterministic, args.max_n, save_dir)
-            _print(json_line(row), out)
-            if row["kind"] == KIND_SKIP:
-                skips += 1
-                if row["reason"] == REASON_CAPACITY:
-                    status = EXIT_CAPACITY
-                continue
-            records += 1
-            agreements += 1 if row["agree"] else 0
-            max_work_counter = max(max_work_counter, row["work_counter"])
-        summary = {
-            "kind": KIND_SUMMARY,
-            "total": records + skips,
-            "records": records,
-            "skips": skips,
-            "agreement_rate": agreements / records if records else None,
-            "max_work_counter": max_work_counter,
-            # every disagreement is a counterexample
-            "counterexamples": records - agreements,
-        }
-        _print(json_line(summary), sys.stdout)
-    return status
+    summary = {"kind": KIND_SUMMARY, "total": 0, "records": 0, "skips": 0,
+               "agreement_rate": None, "max_work_counter": 0, "counterexamples": 0}
+
+    def tally(row: dict) -> None:
+        summary["total"] += 1
+        if row["kind"] == KIND_SKIP:
+            summary["skips"] += 1
+            return
+        records = summary["records"] = summary["records"] + 1
+        # every disagreement is a counterexample
+        summary["counterexamples"] += not row["agree"]
+        summary["agreement_rate"] = (records - summary["counterexamples"]) / records
+        summary["max_work_counter"] = max(summary["max_work_counter"], row["work_counter"])
+    return _write_rows(args, inputs, lambda item: _compare_one(
+        item, args.deterministic, args.max_n, save_dir), tally, summary)
 
 
 # audit-facts
 
 
-def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> dict:
-    if isinstance(item, SkipRecord):
-        return item.to_json_dict()
+def _audit_one(item: _Item, cap: int) -> dict:
     graph6, genspec, g = item
     if g.n == 0:
         return SkipRecord(graph6, 0, "empty-graph", genspec).to_json_dict()
@@ -308,24 +312,17 @@ def _audit_one(item: tuple[str, str | None, Graph] | SkipRecord, cap: int) -> di
 
 
 def cmd_audit_facts(args) -> int:
-    status = EXIT_OK
-    sound = total = converse_findings = 0
-    inputs = collect_inputs(args)
-    with _open_out(args) as out:
-        for item in inputs:
-            row = _audit_one(item, args.max_n)
-            _print(json_line(row), out)
-            if row["kind"] == KIND_AUDIT:
-                total += 1
-                sound += 1 if row["sound"] else 0
-                converse_findings += 1 if row["probe_converse_violations"] else 0
-            elif row["reason"] == REASON_CAPACITY:
-                status = EXIT_CAPACITY
-        summary = {"kind": KIND_SUMMARY, "total": total, "sound": sound,
-                   # rows where an anchor in no solution probed nonempty
-                   "converse_findings": converse_findings}
-        _print(json_line(summary), sys.stdout)
-    return status
+    summary = {"kind": KIND_SUMMARY, "total": 0, "sound": 0,
+               # rows where an anchor in no solution probed nonempty
+               "converse_findings": 0}
+
+    def tally(row: dict) -> None:
+        if row["kind"] == KIND_AUDIT:
+            summary["total"] += 1
+            summary["sound"] += row["sound"]
+            summary["converse_findings"] += bool(row["probe_converse_violations"])
+    return _write_rows(args, collect_inputs(args), lambda item: _audit_one(item, args.max_n),
+                       tally, summary)
 
 
 # gen
@@ -335,7 +332,7 @@ def cmd_gen(args) -> int:
     specs = _genspecs(args.spec)
     with _open_out(args) as out:
         for spec in specs:
-            _print(encode_graph6(spec.build()), out)
+            print(encode_graph6(spec.build()), file=out)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from .graph import Graph, is_connected
 from .rng import SplitMix64
 
 PAIRING_RETRY_BUDGET = 10_000
+MAX_SEED = 2**64 - 1
 
 
 def _check_cycle(n: int) -> int:
@@ -90,11 +91,14 @@ def gen_petersen(n: int, k: int) -> Graph:
 
 
 def _check_random_regular(n: int, r: int, seed: int) -> int:
-    # every seed is in range
     if n < 1 or r < 0 or r >= n:
         raise ValueError("random regular graph needs 0 <= r < n")
     if (n * r) % 2:
         raise ValueError("random regular graph needs n*r even")
+    # SplitMix64 reads a seed mod 2^64, so a seed outside would name the
+    # graph of another seed under its own genspec
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed {seed} outside 0..{MAX_SEED}")
     return n
 
 
@@ -143,9 +147,9 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
 # family -> (builder, its parameter names in argument and canonical order,
 # the check that raises ValueError unless the builder's arguments are in
 # range and else returns the vertex count of the graph the builder makes;
-# the builder runs it first, and parse_genspecs once per spec text).  A
-# seed, the one parameter that may be a range, comes last, and no check
-# reads it.
+# the builder runs it first, and parse_genspecs once per spec text and
+# once more for a seed range's last seed).  A seed, the one parameter that
+# may be a range, comes last.
 _Family = tuple[Callable[..., Graph], tuple[str, ...], Callable[..., int]]
 _FAMILIES: dict[str, _Family] = {
     "cycle": (gen_cycle, ("n",), _check_cycle),
@@ -239,9 +243,11 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
         raise ValueError(f"{family} spec missing {sorted(missing)}")
     *head, last = (fields[p] for p in params)
     seeds = last if isinstance(last, range) else (last,)
-    # an out-of-range parameter raises here, once for the text: only a
-    # seed, the last parameter, differs later, and no check reads it
-    check(*head, seeds[0])
+    # an out-of-range parameter raises here: only a seed, the last
+    # parameter, differs between the specs, and a range is contiguous, so
+    # checking its first and last seed covers every seed
+    for seed in dict.fromkeys((seeds[0], seeds[-1])):
+        check(*head, seed)
     return (GenSpec(family, (*head, s)) for s in seeds)
 
 

@@ -163,6 +163,73 @@ def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines
     assert '{"error":"empty-graph","graph6":"?"}' in out.splitlines()
 
 
+def row_shape(row: dict) -> tuple[str, str | None]:
+    """A row as its exit code sees it: an error row, a skip row, or a result."""
+    if "error" in row:
+        return "error", row["error"]
+    if row.get("kind") == "skip":
+        return "skip", row["reason"]
+    return "result", None
+
+
+RESULT = ("result", None)
+
+
+# K3, the empty graph, the path P3, two disjoint triangles and C9 (n = 9,
+# above --max-n 8); each command's exit code and first row, in that order
+@pytest.mark.parametrize("command, expected", [
+    ("decide", [(0, RESULT), (2, ("error", "empty-graph")), (2, ("error", "not-regular")),
+                (2, ("error", "disconnected")), (0, RESULT)]),
+    ("oracle", [(0, RESULT), (2, ("error", "empty-graph")), (0, RESULT), (0, RESULT),
+                (3, ("error", "capacity"))]),
+    ("compare", [(0, RESULT), (0, ("skip", "empty-graph")), (0, ("skip", "not-regular")),
+                 (0, ("skip", "disconnected")), (3, ("skip", "capacity"))]),
+    ("audit-facts", [(0, RESULT), (0, ("skip", "empty-graph")), (0, RESULT), (0, RESULT),
+                     (3, ("skip", "capacity"))]),
+])
+def test_exit_code_table(capsys, command, expected):
+    guard = [] if command == "decide" else ["--max-n", "8"]
+    for graph6, want in zip(["Bw", "?", "Bg", "EwCW", "HhCGGE@"], expected):
+        code, out, _ = run(capsys, command, *guard, graph6)
+        assert (code, row_shape(out_lines(out)[0])) == want, graph6
+
+
+def test_exit_code_of_each_row_shape():
+    # only a capacity row or skip calls for 3 and any other error row for 2;
+    # a decide row's "reason" is no skip reason
+    skip = {"kind": "skip", "graph6": "Bg", "n": 3, "genspec": None}
+    assert [cli._exit_code(row) for row in (
+        {"graph6": "Bw", "verdict": "found", "reason": None},
+        {"graph6": "Bw", "verdict": "none-exists", "reason": "candidates-exhausted"},
+        {"graph6": "Bw", "has_eds": True, "nodes_explored": 2, "solutions": [[0]]},
+        {"kind": "record", "agree": False, "decide_reason": "candidates-exhausted"},
+        {"kind": "audit", "graph6": "Bw", "sound": False},
+        {**skip, "reason": "empty-graph"},
+        {**skip, "reason": "not-regular"},
+        {**skip, "reason": "disconnected"},
+        {"graph6": "?", "error": "empty-graph"},
+        {"graph6": "Bg", "error": "not-regular"},
+        {"graph6": "EwCW", "error": "disconnected"},
+        {**skip, "reason": "capacity"},
+        {"graph6": "HhCGGE@", "error": "capacity", "message": "n=9 exceeds"},
+    )] == [0] * 8 + [2] * 3 + [3] * 2
+
+
+def test_compare_exit_code_with_a_capacity_row_anywhere(capsys, monkeypatch):
+    # the unbuilt --gen skip calls for 3, and so does a capacity skip before
+    # or after a not-regular skip
+    code, out, _ = run(capsys, "compare", "--max-n", "8", "--gen", "cycle:n=9")
+    assert code == 3
+    assert out_lines(out)[0] == {"genspec": "cycle:n=9", "graph6": "", "kind": "skip",
+                                 "n": 9, "reason": "capacity"}
+    for lines in ("Bg\nHhCGGE@\n", "HhCGGE@\nBg\n"):
+        monkeypatch.setattr("sys.stdin", stdin_bytes(lines.encode("ascii")))
+        code, out, _ = run(capsys, "compare", "--max-n", "8", "-")
+        assert code == 3, lines
+        assert sorted(row_shape(row) for row in out_lines(out)[:2]) == [
+            ("skip", "capacity"), ("skip", "not-regular")], lines
+
+
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
     code2, out2, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
@@ -203,6 +270,19 @@ def test_gen_reversed_seed_range_is_an_error(capsys):
     assert code == 2 and out == "" and "bad seed range" in err
     code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3,seed=4..4")
     assert code == 0 and len(out.strip().splitlines()) == 1
+
+
+def test_seed_outside_64_bits_is_a_spec_error(capsys):
+    # SplitMix64 reads a seed mod 2^64, so -1 would name seed 2^64 - 1's graph
+    top = 2**64 - 1
+    for seed in (-1, top + 1, f"{top - 1}..{top + 1}"):
+        code, out, err = run(capsys, "gen", f"random-regular:n=8,r=3,seed={seed}")
+        assert code == 2 and out == "", seed
+        assert f"outside 0..{top}" in err, seed
+    code, out, _ = run(capsys, "gen", f"random-regular:n=8,r=3,seed={top}")
+    assert code == 0 and out == "GHpStG\n"
+    with pytest.raises(ValueError, match="outside"):
+        gen_random_regular(8, 3, -1)
 
 
 def test_compare_reversed_seed_range_is_an_error(capsys):

@@ -273,8 +273,9 @@ def test_genspec_needs_every_parameter():
 
 
 def test_seed_range_is_range_checked_once(monkeypatch):
-    # every seed of a range shares the other parameters, so one check of the
-    # text covers all the specs it names
+    # every seed of a range shares the other parameters, and a range is
+    # contiguous, so checking the text with its first and its last seed
+    # covers all the specs it names, however many there are
     builder, params, check = generators._FAMILIES["random-regular"]
     calls = []
 
@@ -284,7 +285,7 @@ def test_seed_range_is_range_checked_once(monkeypatch):
 
     monkeypatch.setitem(generators._FAMILIES, "random-regular", (builder, params, counted))
     specs = list(parse_genspecs("random-regular:n=8,r=3,seed=1..50"))
-    assert calls == [(8, 3, 1)]
+    assert calls == [(8, 3, 1), (8, 3, 50)]
     assert [spec.args for spec in specs] == [(8, 3, s) for s in range(1, 51)]
 
 
