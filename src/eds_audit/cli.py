@@ -148,19 +148,21 @@ def _exit_code(row: dict) -> int:
 def _write_rows(args, inputs: Iterable[_Item | SkipRecord], row_of: Callable[[_Item], dict],
                 tally: Callable[[dict], None] | None = None, summary: dict | None = None) -> int:
     """Write each collect_inputs item's row to --out or stdout, show it to
-    ``tally`` if one is given, then print ``summary``, which tally keeps, to
+    ``tally`` if one is given, then write ``summary``, which tally keeps, to
     stdout.  A --gen spec's capacity SkipRecord is its own row; row_of makes
-    the rest.  Returns the largest _exit_code of the rows."""
+    the rest.  Each line, newline included, is one write call, so an
+    unbuffered stream (python -u) gets whole lines.  Returns the largest
+    _exit_code of the rows."""
     status = EXIT_OK
     with _open_out(args) as out:
         for item in inputs:
             row = item.to_json_dict() if isinstance(item, SkipRecord) else row_of(item)
-            print(json_line(row), file=out)
+            out.write(json_line(row) + "\n")
             if tally is not None:
                 tally(row)
             status = max(status, _exit_code(row))
         if summary is not None:
-            print(json_line(summary))
+            sys.stdout.write(json_line(summary) + "\n")
     return status
 
 
@@ -291,7 +293,7 @@ def _audit_one(item: _Item, cap: int) -> dict:
                 if not survivors:
                     probe_violations.append({"anchor": anchor})
             elif survivors:
-                converse_violations.append({"anchor": anchor, "survivors": sorted(survivors)})
+                converse_violations.append({"anchor": anchor, "survivors": survivors})
 
     degree = is_regular(g)
     return {
@@ -332,7 +334,7 @@ def cmd_gen(args) -> int:
     specs = _genspecs(args.spec)
     with _open_out(args) as out:
         for spec in specs:
-            print(encode_graph6(spec.build()), file=out)
+            out.write(encode_graph6(spec.build()) + "\n")
     return EXIT_OK
 
 

@@ -24,9 +24,14 @@ KIND_AUDIT = "audit"
 KIND_SUMMARY = "summary"
 
 
+# json.dumps with these arguments builds a new encoder per call; one shared
+# encoder writes the same bytes
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(doc: dict) -> str:
     """Canonical one-line JSON: sorted keys, no whitespace."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 class CompareRecord(NamedTuple):

@@ -128,14 +128,14 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(map((1).__lshift__, vertices))
 
 
-def _bits(m: int) -> list[int]:
+def _bits(m: int) -> tuple[int, ...]:
     """The set bits of ``m``, low to high."""
     out = []
     while m:
         low = m & -m
         out.append(low.bit_length() - 1)
         m ^= low
-    return out
+    return tuple(out)
 
 
 def _scan(g: Graph) -> _Scan:
@@ -145,7 +145,7 @@ def _scan(g: Graph) -> _Scan:
     bit = [1 << v for v in range(g.n)]
     nbr = tuple([_union(bit, s) for s in g.adj])
     dist2 = [_union(nbr, s) & ~(m | b) for s, m, b in zip(g.adj, nbr, bit)]
-    return _Scan(tuple(map(tuple, map(_bits, dist2))),
+    return _Scan(tuple(map(_bits, dist2)),
                  tuple([_union(dist2, s) for s in g.adj]), nbr,
                  tuple(map(int.__or__, nbr, dist2)))
 
@@ -265,17 +265,18 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
     return frozenset(_bits(cur))
 
 
-def probe_each(g: Graph, a: VertexSet) -> tuple[tuple[TraceEvent, ...], dict[int, frozenset[int]]]:
+def probe_each(g: Graph, a: VertexSet) -> tuple[tuple[TraceEvent, ...], dict[int, tuple[int, ...]]]:
     """Reduce ``a`` to its fixpoint F and probe every vertex of F, from one
     build of the tables.
 
-    Returns ``reduce_to_fixpoint(g, a)[1]``, the drop log, and
-    ``{x: probe(g, F, x)}`` for each x of F in ascending id.
+    Returns ``reduce_to_fixpoint(g, a)[1]``, the drop log, and for each x of
+    F in ascending id the survivors ``probe(g, F, x)`` as a tuple in
+    ascending id.
     """
     t, cur = _candidates(g, a)
     log: list[int] = []
     base, _ = _reduce(t, cur, cur, log)
-    probes = {x: frozenset(_bits(_probe(g, t, base, x, [])[0])) for x in _bits(base)}
+    probes = {x: _bits(_probe(g, t, base, x, [])[0]) for x in _bits(base)}
     return tuple(_events(log, STAGE_INITIAL)), probes
 
 

@@ -11,6 +11,9 @@ bit-reproducible across platforms and implementations:
   items[0] comes last; a caller can stop at the first position it rejects,
   and the draws are computed in packed-integer blocks of up to 16 outputs,
   a block at a time as positions need them
+- speed: a block of m outputs reads the one row of m-lane constants built
+  at import (_WIDTHS[m]), and a shuffle step counts the position down over
+  its block's draws, swaps through one temporary and yields that temporary
 """
 
 from __future__ import annotations
@@ -27,12 +30,21 @@ _MIX2 = 0x94D049BB133111EB
 # 128i..128i+127, holds the i-th state after the current one, so a 64x64-bit
 # product stays inside its lane and a mask cuts what a shift carries across
 _LANES = 16
-_ONES = sum(1 << 128 * i for i in range(_LANES))
-_STEPS = sum((i + 1) * _GAMMA << 128 * i for i in range(_LANES))
-# _LOW64[m]: the low 64 bits of lanes 0..m-1
-_LOW64 = [_ONES * _MASK64 >> (_LANES - m) * 128 for m in range(_LANES + 1)]
-# _UNPACK[m]: the low 64 bits of each of m lanes, from their little-endian bytes
-_UNPACK = [struct.Struct("<" + "Q8x" * m).unpack for m in range(_LANES + 1)]
+
+
+def _width(m: int) -> tuple:
+    """_block's constants for m lanes: the low 64 bits of each lane, a 1 in
+    each lane, lane i's step (i + 1) * _GAMMA, the unpacker of the lanes' low
+    64 bits from their little-endian bytes, the byte count, and the state
+    advance."""
+    ones = sum(1 << 128 * i for i in range(m))
+    steps = sum((i + 1) * _GAMMA << 128 * i for i in range(m))
+    return (ones * _MASK64, ones, steps, struct.Struct("<" + "Q8x" * m).unpack,
+            16 * m, m * _GAMMA)
+
+
+# _WIDTHS[m]: _width(m), built once here so a block reads one row
+_WIDTHS = [_width(m) for m in range(_LANES + 1)]
 
 
 class SplitMix64:
@@ -50,12 +62,13 @@ class SplitMix64:
 
     def _block(self, m: int) -> tuple[int, ...]:
         """The next m <= _LANES outputs, in one packed pass."""
-        low = _LOW64[m]
-        z = (self.state * _ONES + _STEPS) & low  # the AND also drops lanes m and up
-        self.state = (self.state + m * _GAMMA) & _MASK64
+        low, ones, steps, unpack, size, advance = _WIDTHS[m]
+        state = self.state
+        z = (state * ones + steps) & low
+        self.state = (state + advance) & _MASK64
         z = ((z ^ z >> 30) & low) * _MIX1 & low
         z = ((z ^ z >> 27) & low) * _MIX2 & low
-        return _UNPACK[m]((z ^ z >> 31).to_bytes(m * 16, "little"))
+        return unpack((z ^ z >> 31).to_bytes(size, "little"))
 
     def shuffle(self, items: list) -> Iterator:
         """Shuffle ``items`` in place, yielding each position as it is fixed.
@@ -67,14 +80,17 @@ class SplitMix64:
         time: a drained shuffle leaves it as len - 1 next_u64() calls would,
         one stopped early only past the blocks it began.
         """
-        top = len(items) - 1
-        while top > 0:
-            m = min(top, _LANES)
-            for i, z in zip(range(top, top - m, -1), self._block(m)):
-                j = z % (i + 1)
-                items[i], items[j] = items[j], items[i]
-                yield items[i]
-            top -= m
+        # k counts the positions not yet fixed; the draw for position k - 1
+        # is taken mod k, and the item swapped there is yielded
+        k = len(items)
+        while k > 1:
+            for z in self._block(min(k - 1, _LANES)):
+                j = z % k
+                k -= 1
+                item = items[j]
+                items[j] = items[k]
+                items[k] = item
+                yield item
         if items:
             yield items[0]
 

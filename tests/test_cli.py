@@ -410,6 +410,35 @@ def test_compare_deterministic_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class WriteLog(io.StringIO):
+    """A text stream that records every write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["decide", "Bw"], 1),
+    (["oracle", "Bw"], 1),
+    (["compare", "--deterministic", "--gen", "random-regular:n=8,r=3,seed=1..3"], 4),
+    (["audit-facts", "--gen", "cycle:n=9", "--gen", "cycle:n=6"], 3),
+    (["gen", "cycle:n=9", "cycle:n=6"], 2),
+])
+def test_each_output_line_is_one_write(monkeypatch, argv, lines):
+    # unbuffered (python -u), every write reaches the stream at once, so a
+    # row written in two calls could be split from its newline
+    out = WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    assert len(out.calls) == lines
+    assert all(text.endswith("\n") and text.count("\n") == 1 for text in out.calls)
+
+
 def test_audit_facts_cycles(capsys, tmp_path):
     out_path = tmp_path / "audit.jsonl"
     argv = ["audit-facts", "--out", str(out_path)]
@@ -520,7 +549,7 @@ def test_audit_reports_an_empty_probe_on_a_solution_anchor(monkeypatch):
 
     def broken(g, a):
         drops, probes = real(g, a)
-        return drops, {x: frozenset() if x == 3 else s for x, s in probes.items()}
+        return drops, {x: () if x == 3 else s for x, s in probes.items()}
 
     monkeypatch.setattr(cli, "probe_each", broken)
     row = cli._audit_one(audit_c6(), cli.AUDIT_DEFAULT_MAX_N)
@@ -559,7 +588,8 @@ def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
             if anchor in union:
                 probe_violations.append({"anchor": anchor})
         elif solutions and anchor not in union:
-            converse_violations.append({"anchor": anchor, "survivors": sorted(survivors)})
+            converse_violations.append({"anchor": anchor,
+                                        "survivors": tuple(sorted(survivors))})
     return filter_violations, probe_violations, converse_violations
 
 

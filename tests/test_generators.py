@@ -407,3 +407,17 @@ def test_gen_output_pinned(capsys):
     assert len(out.splitlines()) == 750
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "2130ca085a503164a89f612b0ee99800740b84c96d78347a087c16d03ae828de")
+
+
+def test_acceptance_sweep_generation_pinned(monkeypatch, capsys):
+    # the acceptance sweep's 1001 cubic graphs: the pairing attempts, one
+    # shuffle each, and the sha256 of gen's stdout, both recorded before the
+    # packed draws took their constants per block width
+    calls = _count_shuffles(monkeypatch)
+    specs = [f"random-regular:n={n},r=3,seed=1..143" for n in range(8, 21, 2)]
+    assert cli.main(["gen", *specs]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1001
+    assert calls[0] == 8848
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "948253de495539f705db3b3b2131876f44909fa93a85d45a0cc9938f7a56ea45")
