@@ -5,8 +5,6 @@ every vertex outside it has exactly one neighbor inside; equivalently the
 closed neighborhoods of its members partition the vertex set.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .graph import Graph, VertexSet

@@ -5,8 +5,6 @@ full rejection of loops, multi-edges, and disconnected outcomes, driven by
 the SplitMix64 generator so corpora are bit-reproducible.
 """
 
-from __future__ import annotations
-
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, ParseError
@@ -25,7 +23,7 @@ def _check_cycle(n: int) -> int:
 
 def gen_cycle(n: int) -> Graph:
     _check_cycle(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return gen_circulant(n, (1,))
 
 
 def _check_complete(n: int) -> int:
@@ -36,7 +34,8 @@ def _check_complete(n: int) -> int:
 
 def gen_complete(n: int) -> Graph:
     _check_complete(n)
-    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
+    everyone = frozenset(range(n))
+    return Graph._trusted(n, tuple(everyone - {v} for v in range(n)))
 
 
 def _check_hypercube(d: int) -> int:
@@ -47,8 +46,7 @@ def _check_hypercube(d: int) -> int:
 
 def gen_hypercube(d: int) -> Graph:
     n = _check_hypercube(d)
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    return Graph.from_edges(n, edges)
+    return Graph._trusted(n, tuple(frozenset(v ^ (1 << b) for b in range(d)) for v in range(n)))
 
 
 def _check_circulant(n: int, offsets: tuple[int, ...]) -> int:
@@ -63,10 +61,11 @@ def _check_circulant(n: int, offsets: tuple[int, ...]) -> int:
 
 
 def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
+    """Vertex v joined to v + o and v - o (mod n) for each offset o; each
+    0 < o <= n/2 makes them other vertices, and a set takes repeats once."""
     _check_circulant(n, offsets)
-    offs = sorted(set(offsets))
-    edges = {(min(i, (i + o) % n), max(i, (i + o) % n)) for i in range(n) for o in offs}
-    return Graph.from_edges(n, sorted(edges))
+    steps = {s for o in offsets for s in (o, n - o)}
+    return Graph._trusted(n, tuple(frozenset((v + s) % n for s in steps) for v in range(n)))
 
 
 def _check_petersen(n: int, k: int) -> int:
@@ -81,13 +80,10 @@ def gen_petersen(n: int, k: int) -> Graph:
     """Generalized Petersen graph: outer n-cycle 0..n-1, inner vertices
     n..2n-1 joined at step k, spokes i to n+i."""
     _check_petersen(n, k)
-    # no edge repeats: a repeated inner edge needs 2k = 0 (mod n)
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + k) % n))
-    return Graph.from_edges(2 * n, edges)
+    # 1 <= k < n/2 keeps i - k, i and i + k apart (mod n)
+    outer = (frozenset({(i - 1) % n, (i + 1) % n, n + i}) for i in range(n))
+    inner = (frozenset({i, n + (i - k) % n, n + (i + k) % n}) for i in range(n))
+    return Graph._trusted(2 * n, (*outer, *inner))
 
 
 def _check_random_regular(n: int, r: int, seed: int) -> int:
@@ -130,8 +126,7 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
             seen.add(key)
         else:
             # drained, so stubs is fully shuffled and its pairs are the edges,
-            # which seen has checked: added in Graph.from_edges' order, so
-            # each neighbour set iterates as it would there
+            # which seen has checked
             nbrs: list[set[int]] = [set() for _ in range(n)]
             for u, v in zip(stubs[::2], stubs[1::2]):
                 nbrs[u].add(v)

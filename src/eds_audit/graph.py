@@ -174,7 +174,6 @@ def parse_graph6(text: str) -> Graph:
     if nbytes and data[end - 1] - _G6_MIN & ((1 << (6 * nbytes - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 payload", offset=base + end - 1)
 
-    # filled in Graph.from_edges's order, so each set iterates as its does
     nbrs: list[set[int]] = [set() for _ in range(n)]
     j, col = 1, 0  # column j holds bits col .. col + j - 1
     for m in _G6_NONZERO.finditer(data, pos, end):

@@ -4,8 +4,6 @@ Shares nothing with the reduction module beyond the graph type and
 verification semantics, so the cross-check stays meaningful.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import CapacityError

@@ -1,10 +1,10 @@
 """JSONL record schemas, canonical JSON output, and counterexample files.
 
-Every row the harness emits is one canonical JSON line carrying a "kind"
-field, so consumers can parse each line independently.
+Every row the harness emits is one canonical JSON line, so consumers can
+parse each line independently.  The rows of compare and audit-facts carry a
+"kind" field (record, audit, skip, summary); decide and oracle rows, and
+every "error" row, carry none.
 """
-
-from __future__ import annotations
 
 import json
 from pathlib import Path

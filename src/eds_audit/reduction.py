@@ -23,8 +23,6 @@ has found an efficient dominating set (proof in ``decide_eds``), so the
 converse can fail only as a 'none-exists' verdict on a graph that has one.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple, Sequence
 
 from .eds import EdsCertificate, verify_eds

@@ -22,7 +22,7 @@ from .conftest import (
     cycle, parse_record_line, path, petersen, replay_mismatches, two_triangles,
 )
 from .test_acceptance import criterion1_corpus
-from .test_reduction import probe_in
+from .test_reduction import COUNTEREXAMPLES, probe_in
 
 
 def run(capsys, *argv):
@@ -617,6 +617,27 @@ def test_audit_converse_findings_pinned(capsys):
         {"anchor": 0, "survivors": [0, 3, 4, 6, 9]},
         {"anchor": 11, "survivors": [3, 4, 6, 9, 11]},
     ]
+    assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
+
+
+@pytest.mark.parametrize("text", sorted(COUNTEREXAMPLES))
+def test_counterexamples_are_findings(capsys, text):
+    # decide refutes a graph that has an EDS (test_known_findings_pinned):
+    # compare records the disagreement with both claim-audit flags, and
+    # audit-facts finds the one EDS and a converse finding at the anchor
+    # decide commits
+    r, n, work, anchor, _ = COUNTEREXAMPLES[text]
+    code, out, _ = run(capsys, "compare", "--deterministic", text)
+    row, summary = out_lines(out)
+    assert code == 0 and (row["n"], row["r"], row["agree"], row["oracle_has_eds"]) == (
+        n, r, False, True)
+    assert row["claim_audit_flags"] == ["candidates-exhausted", "probe-converse-violation"]
+    assert row["work_counter"] == work
+    assert summary["counterexamples"] == 1
+    code, out, _ = run(capsys, "audit-facts", "--max-n", "24", text)
+    row, summary = out_lines(out)
+    assert code == 0 and (row["eds_count"], row["sound"]) == (1, True)
+    assert [v["anchor"] for v in row["probe_converse_violations"]] == [anchor]
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 

@@ -96,14 +96,12 @@ def reference_encode_graph6(g: Graph) -> str:
 
 
 def decode_outcome(parse, text: str):
-    """What a parser makes of ``text``: the graph with the iteration order of
-    every neighbour set, or the ParseError message, which ends with the byte
-    offset."""
+    """What a parser makes of ``text``: the graph, or the ParseError message,
+    which ends with the byte offset."""
     try:
-        g = parse(text)
+        return "graph", parse(text)
     except ParseError as exc:
         return "error", str(exc)
-    return "graph", g, [tuple(nbrs) for nbrs in g.adj]
 
 
 def nx_encode(g: Graph) -> str:

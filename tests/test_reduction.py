@@ -550,6 +550,20 @@ def lowest_witnesses(g, trace):
     return tuple(out)
 
 
+# Four counterexamples with r = 4..6, each with exactly one EDS: graph6 ->
+# (r, n, decide's work_counter, its one commit, which is also the anchor of
+# audit-facts' one converse finding, sha256 of decide's canonical trace)
+COUNTEREXAMPLES = {
+    "N_sP@GooA`PQ?wHa?iO": (4, 15, 29, 0,
+                            "af2acbf92e2d762c2f726f339a4d55bd72d9048fe2e5fb635ce80dd4d5d010fe"),
+    "QbG?[CsPC@_KopaEBa`CGBOToGO": (
+        5, 18, 27, 0, "59c8f56d519315e0f6015d83be97854654caee4677a6edb328d5a9d879ece62b"),
+    "W?_OC?O??dN?P?Wc@I@F??[?APbIC@OoBW?__GaSGGo?pO_": (
+        5, 24, 66, 4, "dfca24fcc033d9d225d1ba74c5cafc43650cb585eb98e8b2281d7831e6105b79"),
+    "TKT?@S_RP?O`cJX?VOCgD?yPCwKdW?Fa?IDP": (
+        6, 21, 37, 0, "3f9ff3d038158b2ee284b1f9c3b25ea2b60c01b102043eb3237de2936b9e91b6"),
+}
+
 # Known findings, recorded from earlier implementations of the decide loop:
 # verdict, reason, committed anchors, work_counter and sha256 of the
 # canonical trace, in ascending id (seed None) and, for the first two, in
@@ -597,6 +611,11 @@ FINDING_PINS = {
         (None, VERDICT_NONE, REASON_EXHAUSTED, (0,), 74,
          "23b34a2ea175aa1b0f42e8c065eb40f095864c7cbefc2b5a1e60998d080a7930"),
     ],
+    # COUNTEREXAMPLES: one EDS each, yet decide commits an anchor outside it
+    # and dead-ends; n = 15 is the smallest order at which some labelling
+    # defeats decide at r = 4
+    **{text: [(None, VERDICT_NONE, REASON_EXHAUSTED, (anchor,), work, digest)]
+       for text, (_, _, work, anchor, digest) in COUNTEREXAMPLES.items()},
 }
 
 
@@ -604,7 +623,7 @@ FINDING_PINS = {
 def test_known_findings_pinned(source):
     # the decide loop itself, checked against values from outside it: the
     # n = 12 graph6 finding goes wrong at commit 1, GP(28,11) at commit 2,
-    # the n = 25 one at commit 1
+    # the n = 25 one and the COUNTEREXAMPLES at commit 1
     if ":" in source:
         g = parse_genspec(source).build()
     else:
