@@ -52,10 +52,6 @@ def corpus():
     return criterion1_corpus()
 
 
-def run_cli(argv: list[str]) -> int:
-    return cli.main(argv)
-
-
 @pytest.fixture(scope="module")
 def cubic_sweep(tmp_path_factory):
     """Criterion 6 sweep, run twice with --deterministic for criterion 8."""
@@ -68,8 +64,8 @@ def cubic_sweep(tmp_path_factory):
     for i in range(2):
         out = base / f"run{i}.jsonl"
         ce_dir = base / f"ces{i}"
-        code = run_cli(["compare", "--deterministic", "--out", str(out),
-                        "--save-counterexamples", str(ce_dir)] + argv_tail)
+        code = cli.main(["compare", "--deterministic", "--out", str(out),
+                         "--save-counterexamples", str(ce_dir)] + argv_tail)
         runs.append((code, out, ce_dir))
     return runs, time.perf_counter() - t0
 
@@ -144,7 +140,7 @@ def test_criterion_5_soundness_audit(corpus, tmp_path):
     corpus_file = tmp_path / "corpus.g6"
     corpus_file.write_text("".join(encode_graph6(g) + "\n" for g in corpus))
     out = tmp_path / "audit.jsonl"
-    code = run_cli(["audit-facts", str(corpus_file), "--out", str(out)])
+    code = cli.main(["audit-facts", str(corpus_file), "--out", str(out)])
     assert code == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     audits = [r for r in rows if r["kind"] == "audit"]
@@ -206,8 +202,8 @@ def test_criterion_8_determinism(cubic_sweep, tmp_path):
         outputs = []
         for i in range(2):
             out = tmp_path / f"{name}{i}.jsonl"
-            code = run_cli(["compare", "--deterministic", "--out", str(out)]
-                           + argv_tail)
+            code = cli.main(["compare", "--deterministic", "--out", str(out)]
+                            + argv_tail)
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], name

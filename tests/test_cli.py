@@ -174,6 +174,12 @@ def row_shape(row: dict) -> tuple[str, str | None]:
 
 RESULT = ("result", None)
 
+# decide's refusal row and compare's skip row for P3, byte for byte
+P3_FIRST_LINE = {
+    "decide": '{"error":"not-regular","graph6":"Bg"}',
+    "compare": '{"genspec":null,"graph6":"Bg","kind":"skip","n":3,"reason":"not-regular"}',
+}
+
 
 # K3, the empty graph, the path P3, two disjoint triangles and C9 (n = 9,
 # above --max-n 8); each command's exit code and first row, in that order
@@ -192,6 +198,8 @@ def test_exit_code_table(capsys, command, expected):
     for graph6, want in zip(["Bw", "?", "Bg", "EwCW", "HhCGGE@"], expected):
         code, out, _ = run(capsys, command, *guard, graph6)
         assert (code, row_shape(out_lines(out)[0])) == want, graph6
+        if graph6 == "Bg" and command in P3_FIRST_LINE:
+            assert out.splitlines()[0] == P3_FIRST_LINE[command]
 
 
 def test_exit_code_of_each_row_shape():
@@ -293,6 +301,8 @@ def test_compare_reversed_seed_range_is_an_error(capsys):
 def test_gen_bad_spec(capsys):
     code, _, err = run(capsys, "gen", "banana:n=2")
     assert code == 2 and "unknown graph family" in err
+    code, out, err = run(capsys, "gen", "generalized-petersen:n=5")
+    assert (code, out, err) == (2, "", "error: generalized-petersen spec missing ['k']\n")
     # every spec is checked before the first line is written
     for bad in ("banana:n=2", "cycle:m=6", "random-regular:n=8,r=3,seed=4..2"):
         code, out, _ = run(capsys, "gen", "cycle:n=6", bad)
@@ -455,6 +465,10 @@ def test_audit_facts_cycles(capsys, tmp_path):
         assert row["confluence_violations"] == []
     summary = out_lines(out)[-1]
     assert summary["sound"] == summary["total"] == 10
+    code, out, _ = run(capsys, "audit-facts", "--gen", "cycle:n=9")
+    assert code == 0
+    assert out.splitlines()[-1] == \
+        '{"converse_findings":0,"kind":"summary","sound":1,"total":1}'
 
 
 def test_oversize_gen_specs_are_skipped_unbuilt(capsys, monkeypatch):
@@ -620,24 +634,41 @@ def test_audit_converse_findings_pinned(capsys):
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 
+# the survivors of each counterexample's probe of the anchor decide commits
+CONVERSE_SURVIVORS = {
+    "N_sP@GooA`PQ?wHa?iO": [0, 5, 8, 12, 13],
+    "QbG?[CsPC@_KopaEBa`CGBOToGO": [0, 2, 5, 14, 15],
+    "W?_OC?O??dN?P?Wc@I@F??[?APbIC@OoBW?__GaSGGo?pO_": [4, 5, 6, 8, 12, 13, 16, 18],
+    "TKT?@S_RP?O`cJX?VOCgD?yPCwKdW?Fa?IDP": [0, 1, 7, 9, 13, 16, 17, 19],
+    "XJAG?ACoG@_O?@??_PPEGCQ???GOK?Q?NB??G?P?_@?`?G_@?OB":
+        [0, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19, 22, 23],
+}
+
+
 @pytest.mark.parametrize("text", sorted(COUNTEREXAMPLES))
 def test_counterexamples_are_findings(capsys, text):
     # decide refutes a graph that has an EDS (test_known_findings_pinned):
-    # compare records the disagreement with both claim-audit flags, and
-    # audit-facts finds the one EDS and a converse finding at the anchor
-    # decide commits
+    # its row names the one commit, compare records the disagreement with
+    # both claim-audit flags, and audit-facts finds the one EDS and a
+    # converse finding at the anchor decide commits
     r, n, work, anchor, _ = COUNTEREXAMPLES[text]
+    code, out, _ = run(capsys, "decide", text)
+    [row] = out_lines(out)
+    assert code == 0 and (row["reason"], row["trace_summary"]["commits"], row["work_counter"]) \
+        == ("candidates-exhausted", [anchor], work)
     code, out, _ = run(capsys, "compare", "--deterministic", text)
     row, summary = out_lines(out)
     assert code == 0 and (row["n"], row["r"], row["agree"], row["oracle_has_eds"]) == (
         n, r, False, True)
+    assert row["certificate_valid"] is None
     assert row["claim_audit_flags"] == ["candidates-exhausted", "probe-converse-violation"]
     assert row["work_counter"] == work
     assert summary["counterexamples"] == 1
-    code, out, _ = run(capsys, "audit-facts", "--max-n", "24", text)
+    code, out, _ = run(capsys, "audit-facts", "--max-n", str(n), text)
     row, summary = out_lines(out)
     assert code == 0 and (row["eds_count"], row["sound"]) == (1, True)
-    assert [v["anchor"] for v in row["probe_converse_violations"]] == [anchor]
+    assert row["probe_converse_violations"] == [
+        {"anchor": anchor, "survivors": CONVERSE_SURVIVORS[text]}]
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 

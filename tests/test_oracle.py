@@ -115,7 +115,7 @@ def test_capacity_guards():
         solve_naive(Graph.from_edges(0, []))
 
 
-def test_elapsed_and_nodes_reported(c6):
+def test_naive_node_count_and_oracle_doc_keys(c6):
     report = solve_naive(c6)
     assert report.nodes_explored == 64
     doc = oracle_report_doc("EhEG", report)
