@@ -2,13 +2,15 @@
 
 Exit codes: 0 = ran to completion (disagreement findings included), 2 = input
 or usage error, 3 = capacity error; a run exits with the largest code any of
-its rows calls for (_exit_code).  Disagreement between the decision procedure
-and the oracle is a recorded finding, never a failure.
+its rows calls for (_exit_code).  A run whose stdout the reader closes stops
+there and exits 0, with nothing on stderr.  Disagreement between the decision
+procedure and the oracle is a recorded finding, never a failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import stat
 import sys
 import time
@@ -408,6 +410,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: stop with nothing on
+        # stderr, and point fd 1 at /dev/null so that the flush at exit
+        # writes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,8 @@
-"""Shared fixtures: hand-built reference graphs and independent checkers.
+"""Shared fixtures: hand-built reference graphs, corpora, strategies and
+independent checkers.
 
-Reference graphs are constructed directly from edge lists here, independent
-of the package's generators, so generator tests have something to agree with.
+Reference graphs are built from each family's edge list here, independent of
+the package's generators, so generator tests have something to agree with.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
-from eds_audit import cli
+from eds_audit import cli, reduction
 from eds_audit.errors import CapacityError
+from eds_audit.generators import (
+    gen_complete, gen_cycle, gen_hypercube, gen_petersen, gen_random_regular,
+)
 from eds_audit.graph import Graph
 from eds_audit.oracle import OracleReport
 from eds_audit.records import (
@@ -26,12 +31,33 @@ from eds_audit.records import (
 from eds_audit.rng import rank_permutation
 
 
+# each family's edge list, as its definition states it; the generators
+# build the neighbourhoods straight, and Graph.from_edges checks these
+def reference_edges(family: str, *args) -> tuple[int, list[tuple[int, int]]]:
+    if family == "cycle":
+        (n,) = args
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    if family == "complete":
+        (n,) = args
+        return n, [(i, j) for j in range(n) for i in range(j)]
+    if family == "hypercube":
+        (d,) = args
+        return 1 << d, [(v, v | (1 << b)) for v in range(1 << d) for b in range(d)
+                        if not (v >> b) & 1]
+    if family == "circulant":
+        n, offsets = args
+        return n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
+    n, k = args  # generalized Petersen
+    return 2 * n, [e for i in range(n)
+                   for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))]
+
+
 def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(*reference_edges("cycle", n))
 
 
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
+    return Graph.from_edges(*reference_edges("complete", n))
 
 
 def path(n: int) -> Graph:
@@ -39,24 +65,77 @@ def path(n: int) -> Graph:
 
 
 def hypercube(d: int) -> Graph:
-    n = 1 << d
-    return Graph.from_edges(
-        n, [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)])
-
-
-PETERSEN_EDGES = [
-    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),        # outer 5-cycle
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),        # spokes
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),        # inner pentagram
-]
+    return Graph.from_edges(*reference_edges("hypercube", d))
 
 
 def petersen() -> Graph:
-    return Graph.from_edges(10, PETERSEN_EDGES)
+    return Graph.from_edges(*reference_edges("generalized-petersen", 5, 2))
 
 
 def two_triangles() -> Graph:
     return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=12):
+    """Arbitrary simple graphs, irregular or disconnected, on min_n..max_n
+    vertices: any set of the vertex pairs."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def graph_and_set(draw, max_n=10):
+    """An arbitrary graph on 1..max_n vertices and any set of its vertices."""
+    g = draw(graphs(max_n=max_n))
+    return g, frozenset(draw(st.sets(st.integers(min_value=0, max_value=g.n - 1))))
+
+
+def criterion1_corpus() -> list[Graph]:
+    """Acceptance criterion 1's 302 graphs: small cycles, complete graphs,
+    hypercubes, the Petersen graph and 280 seeded random regular graphs."""
+    corpus = [gen_cycle(n) for n in range(3, 13)]
+    corpus += [gen_complete(n) for n in range(2, 9)]
+    corpus += [gen_hypercube(d) for d in range(1, 5)]
+    corpus += [gen_petersen(5, 2)]
+    for i in range(280):
+        n = 6 + (i % 9)
+        r = 2 + (i % 3)
+        if (n * r) % 2:
+            r += 1
+        corpus.append(gen_random_regular(n, r, 1000 + i))
+    return corpus
+
+
+# Five counterexamples with r = 4..6, each with exactly one EDS: graph6 ->
+# (r, n, decide's work_counter, its one commit, which is also the anchor of
+# audit-facts' one converse finding, sha256 of decide's canonical trace)
+COUNTEREXAMPLES = {
+    "N_sP@GooA`PQ?wHa?iO": (4, 15, 29, 0,
+                            "af2acbf92e2d762c2f726f339a4d55bd72d9048fe2e5fb635ce80dd4d5d010fe"),
+    "QbG?[CsPC@_KopaEBa`CGBOToGO": (
+        5, 18, 27, 0, "59c8f56d519315e0f6015d83be97854654caee4677a6edb328d5a9d879ece62b"),
+    "W?_OC?O??dN?P?Wc@I@F??[?APbIC@OoBW?__GaSGGo?pO_": (
+        5, 24, 66, 4, "dfca24fcc033d9d225d1ba74c5cafc43650cb585eb98e8b2281d7831e6105b79"),
+    "TKT?@S_RP?O`cJX?VOCgD?yPCwKdW?Fa?IDP": (
+        6, 21, 37, 0, "3f9ff3d038158b2ee284b1f9c3b25ea2b60c01b102043eb3237de2936b9e91b6"),
+    "XJAG?ACoG@_O?@??_PPEGCQ???GOK?Q?NB??G?P?_@?`?G_@?OB": (
+        4, 25, 74, 0, "23b34a2ea175aa1b0f42e8c065eb40f095864c7cbefc2b5a1e60998d080a7930"),
+}
+
+
+def as_mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def probe_in(g: Graph, a, anchor: int):
+    """The kernel's probe of ``anchor`` in ``a``: the survivors, the flat
+    (vertex, witness) drop log and the rescan test count."""
+    log = []
+    cur, tests = reduction._probe(g, reduction._scan(g), as_mask(a), anchor, log)
+    return frozenset(v for v in range(g.n) if cur >> v & 1), log, tests
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

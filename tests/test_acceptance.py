@@ -14,37 +14,21 @@ import pytest
 
 import eds_audit.cli as cli
 from eds_audit.eds import verify_eds
-from eds_audit.generators import (
-    gen_complete, gen_cycle, gen_hypercube, gen_petersen, gen_random_regular,
-)
-from eds_audit.graph import Graph, encode_graph6
+from eds_audit.generators import gen_cycle, gen_hypercube, gen_petersen
+from eds_audit.graph import encode_graph6
 from eds_audit.oracle import solve_exact
 from eds_audit.records import CompareRecord
 from eds_audit.reduction import (
     VERDICT_FOUND, VERDICT_NONE, WORK_BUDGET_COEFF, decide_eds, work_budget,
 )
 
-from .conftest import parse_record_line, replay_mismatches, solve_naive
+from .conftest import criterion1_corpus, parse_record_line, replay_mismatches, solve_naive
 
 
 def report(number: int, ok: bool, elapsed: float, note: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({note})" if note else ""
     print(f"ACCEPTANCE {number}: {status} in {elapsed:.2f}s{suffix}", flush=True)
-
-
-def criterion1_corpus() -> list[Graph]:
-    graphs = [gen_cycle(n) for n in range(3, 13)]
-    graphs += [gen_complete(n) for n in range(2, 9)]
-    graphs += [gen_hypercube(d) for d in range(1, 5)]
-    graphs += [gen_petersen(5, 2)]
-    for i in range(280):
-        n = 6 + (i % 9)
-        r = 2 + (i % 3)
-        if (n * r) % 2:
-            r += 1
-        graphs.append(gen_random_regular(n, r, 1000 + i))
-    return graphs
 
 
 @pytest.fixture(scope="module")

@@ -19,10 +19,9 @@ from eds_audit.oracle import solve_exact
 from eds_audit.reduction import reduce_to_fixpoint
 
 from .conftest import (
-    cycle, parse_record_line, path, petersen, replay_mismatches, two_triangles,
+    COUNTEREXAMPLES, criterion1_corpus, cycle, parse_record_line, path, petersen, probe_in,
+    replay_mismatches, two_triangles,
 )
-from .test_acceptance import criterion1_corpus
-from .test_reduction import COUNTEREXAMPLES, probe_in
 
 
 def run(capsys, *argv):
@@ -238,13 +237,6 @@ def test_compare_exit_code_with_a_capacity_row_anywhere(capsys, monkeypatch):
             ("skip", "capacity"), ("skip", "not-regular")], lines
 
 
-def test_gen_deterministic(capsys):
-    code1, out1, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
-    code2, out2, _ = run(capsys, "gen", "random-regular:n=10,r=3,seed=7")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_gen_cycle_line(capsys):
     code, out, _ = run(capsys, "gen", "cycle:n=6")
     assert code == 0 and out.strip() == encode_graph6(cycle(6))
@@ -261,12 +253,7 @@ def test_gen_seed_range(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert lines[0] == encode_graph6(gen_random_regular(8, 3, 1))
-
-
-def test_gen_seeds_flag(capsys):
     # a seed range is written in the spec; there is no separate --seeds flag
-    code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3,seed=1..3")
-    assert code == 0 and len(out.strip().splitlines()) == 3
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "random-regular:n=8,r=3", "--seeds", "1..3"])
     assert exc.value.code == 2
@@ -406,18 +393,6 @@ def test_counterexample_above_default_guard_replays(capsys, tmp_path):
     assert code == 0
     [saved] = ce_dir.glob("counterexample-*.json")
     assert replay_mismatches(saved) == []
-
-
-def test_compare_deterministic_byte_identical(capsys, tmp_path):
-    paths = []
-    for i in range(2):
-        out_path = tmp_path / f"run{i}.jsonl"
-        code, _, _ = run(capsys, "compare", "--deterministic",
-                         "--out", str(out_path),
-                         "--gen", "random-regular:n=12,r=3,seed=1..20")
-        assert code == 0
-        paths.append(out_path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class WriteLog(io.StringIO):
@@ -820,12 +795,29 @@ UNUSED_BY_SERIAL_RUNS = ("dataclasses", "inspect", "hashlib", "multiprocessing",
                          "concurrent.futures.process")
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def fresh_interpreter(*argv, stdin=None):
     """Run ``python argv`` in a fresh interpreter that imports this package."""
-    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
-                          text=True, env=env, check=True)
+                          text=True, env=fresh_env(), check=True)
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # read one line and close the pipe, as `| head -n 1` does; each output is
+    # far past a 64 KiB pipe buffer, so the child is still writing then
+    for argv in (["compare", "--deterministic", "--gen", "random-regular:n=8,r=3,seed=1..2000"],
+                 ["gen", "random-regular:n=8,r=3,seed=1..100000"]):
+        with subprocess.Popen([sys.executable, "-m", "eds_audit.cli", *argv], env=fresh_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().endswith(b"\n")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b""), argv
 
 
 def test_decide_reads_dev_stdin():

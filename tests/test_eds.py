@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph
 
 from .conftest import (
-    closed_nbhd, complete, cycle, eds_by_definition, hypercube, path, solve_naive,
+    closed_nbhd, complete, cycle, eds_by_definition, graph_and_set, hypercube, path, solve_naive,
 )
 
 
@@ -30,15 +30,6 @@ def test_verify_eds_empty_set_iff_empty_graph():
 def test_verify_eds_range_error(c6):
     with pytest.raises(ValueError, match="out of range"):
         verify_eds(c6, frozenset({6}))
-
-
-@st.composite
-def graph_and_set(draw, max_n=10):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    members = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    return Graph.from_edges(n, sorted(edges)), frozenset(members)
 
 
 @given(graph_and_set())

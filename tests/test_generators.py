@@ -20,56 +20,7 @@ from eds_audit.generators import (
 from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular
 from eds_audit.rng import SplitMix64, rank_permutation
 
-from .conftest import complete, cycle, hypercube, petersen
-
-
-def test_cycle_and_complete_match_reference():
-    for n in (3, 5, 8):
-        assert gen_cycle(n) == cycle(n)
-    for n in (1, 4, 7):
-        assert gen_complete(n) == complete(n)
-
-
-def test_hypercube():
-    g = gen_hypercube(3)
-    assert g == hypercube(3)
-    assert g.n == 8 and sum(map(len, g.adj)) // 2 == 12 and is_regular(g) == 3
-    assert sum(map(len, gen_hypercube(1).adj)) // 2 == 1
-
-
-def test_petersen_matches_reference():
-    g = gen_petersen(5, 2)
-    assert g == petersen()
-    assert g.n == 10 and is_regular(g) == 3 and is_connected(g)
-
-
-def test_circulant():
-    g = gen_circulant(9, (1, 2))
-    assert g.n == 9 and is_regular(g) == 4
-    # the n/2 offset contributes a single edge per vertex
-    g = gen_circulant(6, (3,))
-    assert is_regular(g) == 1 and sum(map(len, g.adj)) // 2 == 3
-
-
-# each family's edge list, as its definition states it; the generators
-# build the neighbourhoods straight, and Graph.from_edges checks these
-def reference_edges(family: str, *args) -> tuple[int, list[tuple[int, int]]]:
-    if family == "cycle":
-        (n,) = args
-        return n, [(i, (i + 1) % n) for i in range(n)]
-    if family == "complete":
-        (n,) = args
-        return n, [(i, j) for j in range(n) for i in range(j)]
-    if family == "hypercube":
-        (d,) = args
-        return 1 << d, [(v, v | (1 << b)) for v in range(1 << d) for b in range(d)
-                        if not (v >> b) & 1]
-    if family == "circulant":
-        n, offsets = args
-        return n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
-    n, k = args  # generalized Petersen
-    return 2 * n, [e for i in range(n)
-                   for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))]
+from .conftest import cycle, petersen, reference_edges
 
 
 def structured_grid():
@@ -115,23 +66,6 @@ def test_parameter_validation():
         gen_random_regular(5, 3, 1)
     with pytest.raises(ValueError):
         gen_random_regular(3, 3, 1)
-
-
-def test_random_regular_deterministic():
-    a = gen_random_regular(10, 3, 42)
-    b = gen_random_regular(10, 3, 42)
-    assert a == b
-    assert encode_graph6(a) == encode_graph6(b)
-    assert is_regular(a) == 3 and is_connected(a)
-    assert gen_random_regular(10, 3, 43) != a  # overwhelmingly likely
-
-
-def test_random_regular_sweep():
-    for seed in range(1, 101):
-        g = gen_random_regular(8, 3, seed)
-        assert is_regular(g) == 3
-        assert is_connected(g)
-        assert g.n == 8
 
 
 def _reference_random_regular(n: int, r: int, seed: int):
@@ -252,6 +186,8 @@ def test_genspec_errors():
         parse_genspec("cycle:")
     with pytest.raises(ValueError, match="missing"):
         parse_genspec("random-regular:n=10,r=3")
+    with pytest.raises(ValueError, match=r"missing \['k', 'n'\]"):
+        parse_genspecs("generalized-petersen:")
     with pytest.raises(ValueError, match="bad parameter"):
         parse_genspec("cycle:n=6,r=2")
     with pytest.raises(ValueError, match="non-integer"):
@@ -305,18 +241,6 @@ def test_seed_range_is_expanded_lazily():
 def test_parse_genspec_rejects_a_range():
     with pytest.raises(ValueError, match="names 3 graphs, not one"):
         parse_genspec("random-regular:n=8,r=3,seed=1..3")
-
-
-def test_genspec_needs_every_parameter():
-    # parse_genspecs is where a spec is checked, so it names what is missing
-    with pytest.raises(ValueError, match="missing"):
-        parse_genspecs("cycle:")
-    with pytest.raises(ValueError, match=r"missing \['k', 'n'\]"):
-        parse_genspecs("generalized-petersen:")
-    with pytest.raises(ValueError, match="missing"):
-        parse_genspecs("random-regular:n=8,r=3")
-    with pytest.raises(ValueError, match="unknown graph family"):
-        parse_genspecs("torus:n=5")
 
 
 def test_seed_range_is_range_checked_once(monkeypatch):

@@ -7,14 +7,12 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from eds_audit import reduction
 from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from eds_audit.reduction import decide_eds
 
 from .conftest import (
-    bfs_distances, closed_nbhd, complete, cycle, hypercube, path, petersen, seeded,
-    two_triangles,
+    bfs_distances, closed_nbhd, complete, cycle, graphs, hypercube, path, petersen, two_triangles,
 )
 
 
@@ -109,31 +107,6 @@ def test_closed_neighbors_examples(c6, k4):
     assert verify_eds(Graph.from_edges(1, []), frozenset({0}))
 
 
-def test_second_neighborhood_examples(c6, k4, pet):
-    # derived from the BFS oracle: all vertices at distance exactly 2
-    dist = bfs_distances(pet, 0)
-    expected = {v for v in range(10) if dist[v] == 2}
-    assert len(expected) == 6
-    assert reduction._scan(c6).far[0] == (2, 4)
-    assert reduction._scan(k4).far[0] == ()
-    assert set(reduction._scan(pet).far[0]) == expected
-    # and vertex 0 of each under a seeded relabelling
-    for g, want in ((c6, {2, 4}), (k4, set()), (pet, expected)):
-        h, back = seeded(g, 1)
-        x = back.index(0)
-        assert {back[u] for u in reduction._scan(h).far[x]} == want
-
-
-def test_second_neighborhood_matches_bfs_everywhere(pet, q3, c6):
-    # in ascending id, and on a seeded relabelling
-    for g in (pet, q3, c6, path(7), two_triangles()):
-        for h in (g, seeded(g, 1)[0]):
-            far = reduction._scan(h).far
-            for v in range(h.n):
-                dist = bfs_distances(h, v)
-                assert far[v] == tuple(u for u in range(h.n) if dist[u] == 2)
-
-
 def test_is_regular():
     assert is_regular(cycle(6)) == 2
     assert is_regular(path(3)) is None
@@ -151,31 +124,6 @@ def test_is_connected():
     assert not is_connected(Graph.from_edges(2, []))
     with pytest.raises(ValueError, match="empty"):
         is_connected(Graph.from_edges(0, []))
-
-
-@st.composite
-def graphs(draw, max_n=12):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph.from_edges(n, sorted(edges))
-
-
-@given(graphs())
-def test_second_neighborhood_disjoint_from_closed(g):
-    for h in (g, seeded(g, 1)[0]):
-        far = reduction._scan(h).far
-        for v in range(h.n):
-            assert closed_nbhd(h, v).isdisjoint(far[v])
-
-
-@given(graphs())
-def test_second_neighborhood_has_common_neighbor(g):
-    for h in (g, seeded(g, 1)[0]):
-        far = reduction._scan(h).far
-        for v in range(h.n):
-            for w in far[v]:
-                assert h.adj[v] & h.adj[w]
 
 
 @given(graphs())

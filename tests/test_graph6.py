@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eds_audit.errors import ParseError
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 
-from .conftest import complete, cycle, hypercube, petersen
+from .conftest import complete, cycle, graphs, hypercube, petersen
 
 
 # The bit-at-a-time codec the linear-work one replaced, kept as the reference
@@ -200,21 +200,7 @@ def test_nonzero_padding_rejected():
         parse_graph6(bad)
 
 
-@st.composite
-def graphs(draw, max_n=30):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph.from_edges(n, sorted(edges))
-
-
-@given(graphs())
-@settings(max_examples=60)
-def test_roundtrip_random(g):
-    assert parse_graph6(encode_graph6(g)) == g
-
-
-@given(graphs(max_n=16))
+@given(graphs(min_n=0, max_n=16))
 @settings(max_examples=40)
 def test_encode_matches_networkx_random(g):
     assert encode_graph6(g) == nx_encode(g)

@@ -11,24 +11,10 @@ from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact
 from eds_audit.records import oracle_report_doc
 
-from .conftest import (PETERSEN_EDGES, all_eds_bruteforce, complete, cycle, hypercube, path,
-                       petersen, solve_naive, two_triangles)
-from .test_graph import graphs
-
-
-def test_cycle_law_small():
-    # derived by all-subsets enumeration; EDS exists iff 3 divides n
-    for n in range(3, 13):
-        g = cycle(n)
-        expected = n % 3 == 0
-        assert solve_naive(g).has_eds == expected
-        assert solve_exact(g).has_eds == expected
-
-
-def test_petersen_negative(pet):
-    # 4 does not divide 10: the divisibility law settles it without a search
-    report = solve_exact(pet)
-    assert not report.has_eds and report.nodes_explored == 0
+from .conftest import (
+    all_eds_bruteforce, complete, criterion1_corpus, cycle, graphs, hypercube, path, petersen,
+    reference_edges, solve_naive, two_triangles,
+)
 
 
 def test_c6_enumeration(c6):
@@ -63,21 +49,6 @@ def test_matches_bruteforce_oracle():
         assert list(solve_exact(g, enumerate_all=True).solutions) == expected
 
 
-def test_agreement_on_random_corpus():
-    seed = 0
-    for n in range(6, 15):
-        for r in (2, 3, 4):
-            if (n * r) % 2 or r >= n:
-                continue
-            for _ in range(5):
-                seed += 1
-                g = gen_random_regular(n, r, seed)
-                naive = solve_naive(g)
-                exact = solve_exact(g, enumerate_all=True)
-                assert naive.has_eds == exact.has_eds
-                assert naive.solutions == exact.solutions
-
-
 def test_solutions_partition_vertices():
     # disjointness and coverage asserted directly, not via verify_eds
     from eds_audit.eds import verify_eds
@@ -94,14 +65,6 @@ def test_first_solution_mode(c6):
     report = solve_exact(c6)
     assert report.has_eds and len(report.solutions) == 1
     assert report.solutions[0] in solve_exact(c6, enumerate_all=True).solutions
-
-
-def test_determinism(q3, c6):
-    for g in (q3, c6, petersen()):
-        a = solve_exact(g, enumerate_all=True)
-        b = solve_exact(g, enumerate_all=True)
-        assert a.solutions == b.solutions
-        assert a.nodes_explored == b.nodes_explored
 
 
 def test_capacity_guards():
@@ -173,9 +136,10 @@ def star(k: int) -> Graph:
 
 def irregular_corpus() -> list[Graph]:
     """Non-regular and disconnected graphs the ``oracle`` subcommand accepts."""
+    _, petersen_edges = reference_edges("generalized-petersen", 5, 2)
     return ([path(n) for n in range(1, 12)] + [star(k) for k in range(1, 8)]
             + [Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]),   # K_{1,3} + K_1
-               Graph.from_edges(10, PETERSEN_EDGES[1:]),          # Petersen - edge
+               Graph.from_edges(10, petersen_edges[1:]),          # Petersen - edge
                Graph.from_edges(3, []),
                Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])])
 
@@ -187,7 +151,6 @@ def assert_matches_reference(g: Graph) -> None:
 
 
 def test_iterative_search_matches_recursive_reference():
-    from .test_acceptance import criterion1_corpus
     corpus = criterion1_corpus() + [cycle(n) for n in range(3, 40)] + irregular_corpus()
     for g in corpus:
         assert_matches_reference(g)
