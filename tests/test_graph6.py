@@ -200,6 +200,12 @@ def test_nonzero_padding_rejected():
         parse_graph6(bad)
 
 
+@given(graphs(min_n=0, max_n=30))
+@settings(max_examples=60)
+def test_roundtrip_random(g):
+    assert parse_graph6(encode_graph6(g)) == g
+
+
 @given(graphs(min_n=0, max_n=16))
 @settings(max_examples=40)
 def test_encode_matches_networkx_random(g):
