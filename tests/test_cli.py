@@ -796,15 +796,26 @@ UNUSED_BY_SERIAL_RUNS = ("dataclasses", "inspect", "hashlib", "multiprocessing",
 
 
 def fresh_env() -> dict[str, str]:
-    """The environment of a fresh interpreter that imports this package."""
+    """The environment of a fresh interpreter that imports this package, with
+    stdout buffered as by default."""
     paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def fresh_interpreter(*argv, stdin=None):
     """Run ``python argv`` in a fresh interpreter that imports this package."""
     return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
                           text=True, env=fresh_env(), check=True)
+
+
+def fresh_cli(*argv, stdin=b"", stdout=subprocess.PIPE, **kwargs):
+    """Run ``python -m eds_audit.cli argv`` in a fresh interpreter, whatever
+    its exit code; its output is bytes."""
+    return subprocess.run([sys.executable, "-m", "eds_audit.cli", *argv], input=stdin,
+                          stdout=stdout, stderr=subprocess.PIPE, env=fresh_env(), timeout=60,
+                          **kwargs)
 
 
 def test_closed_stdout_ends_the_run_quietly():
@@ -818,6 +829,60 @@ def test_closed_stdout_ends_the_run_quietly():
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b""), argv
+    # a reader gone before the child starts: an output that fits the stdout
+    # buffer first meets the closed pipe at the last flush
+    for argv in (["decide", "Bw"], ["gen", "cycle:n=5"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = fresh_cli(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_error():
+    # an output that fits the stdout buffer fails at the last flush, which is
+    # an error like a failed write during the run
+    with open("/dev/full", "wb") as full:
+        proc = fresh_cli("decide", "Bw", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: [Errno 28]"), proc.stderr
+
+
+def test_a_process_ends_with_main_code_and_output(capsys, monkeypatch, tmp_path):
+    # the process skips interpreter teardown, so nothing is flushed at exit:
+    # each run's code, stdout and stderr match an in-process run's, on a
+    # success, an error row, a capacity row, and a run an input error stops
+    # after a row it has written
+    for argv, stdin in ((["decide", "Bw"], b""), (["decide", "Bg"], b""),
+                        (["oracle", "--max-n", "4", "-"], b"EhEG\n?\n"),
+                        (["decide", "-"], b"Bw\n\xff\n")):
+        monkeypatch.setattr("sys.stdin", stdin_bytes(stdin))
+        expected = run(capsys, *argv)
+        proc = fresh_cli(*argv, stdin=stdin)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected, argv
+    assert expected[0] == 2 and [row["graph6"] for row in out_lines(expected[1])] == ["Bw"]
+    # a file written through --out is closed before main returns
+    argv = ["compare", "--deterministic", "--gen", "random-regular:n=12,r=3,seed=1..50"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "in-process.jsonl"))
+    proc = fresh_cli(*argv, "--out", str(tmp_path / "process.jsonl"))
+    assert code == 0 and (proc.returncode, proc.stdout.decode()) == (code, out)
+    assert ((tmp_path / "process.jsonl").read_bytes()
+            == (tmp_path / "in-process.jsonl").read_bytes())
+    # argparse's SystemExit still ends the interpreter as usual
+    proc = fresh_cli("decide", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: eds-audit decide")
+    proc = fresh_cli("decide", "--bogus")
+    assert proc.returncode == 2 and b"unrecognized arguments: --bogus" in proc.stderr
+    # a closed fd 1 or fd 2 leaves no stream to flush
+    proc = fresh_cli("gen", "cycle:n=5", "--out", str(tmp_path / "c5.g6"),
+                     preexec_fn=lambda: os.close(1))
+    c5 = encode_graph6(cycle(5))
+    assert (proc.returncode, (tmp_path / "c5.g6").read_text()) == (0, c5 + "\n")
+    proc = fresh_cli("decide", "Bw", preexec_fn=lambda: os.close(2))
+    assert proc.returncode == 0 and out_lines(proc.stdout.decode())[0]["verdict"] == "found"
 
 
 def test_decide_reads_dev_stdin():
