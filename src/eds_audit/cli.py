@@ -28,7 +28,7 @@ from .generators import GenSpec, parse_genspecs
 from .graph import (
     Graph, encode_graph6, graph6_size_prefix, is_connected, is_regular, parse_graph6,
 )
-from .oracle import DEFAULT_MAX_N, solve_exact
+from .oracle import solve_exact
 from .records import (
     FLAG_EXHAUSTED, FLAG_PROBE_CONVERSE, KIND_AUDIT, KIND_SKIP, KIND_SUMMARY,
     CompareRecord, SkipRecord, compute_agree, decide_report_doc, json_line,
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
+ORACLE_DEFAULT_MAX_N = 128
 AUDIT_DEFAULT_MAX_N = 20
 
 # skip-row reason for a graph above the oracle or audit size guard
@@ -193,11 +194,10 @@ def cmd_oracle(args) -> int:
         graph6, _, g = item
         if g.n == 0:  # decide's row: the oracle has no graph to search
             return {"graph6": graph6, "error": "empty-graph"}
-        try:
-            report = solve_exact(g, enumerate_all=args.enumerate, max_n=args.max_n)
-        except CapacityError as exc:
-            return {"graph6": graph6, "error": REASON_CAPACITY, "message": str(exc)}
-        return oracle_report_doc(graph6, report)
+        if g.n > args.max_n:
+            return {"graph6": graph6, "error": REASON_CAPACITY,
+                    "message": f"n={g.n} exceeds the oracle size guard {args.max_n}"}
+        return oracle_report_doc(graph6, solve_exact(g, enumerate_all=args.enumerate))
     return _write_rows(args, collect_inputs(args), row)
 
 
@@ -212,12 +212,10 @@ def _compare_one(item: _Item, deterministic: bool, cap: int, save_dir: Path | No
     if err:
         return SkipRecord(graph6, g.n, err, genspec).to_json_dict()
 
-    # the oracle runs first so a graph above its guard skips decide as well
-    t0 = time.perf_counter()
-    try:
-        oracle = solve_exact(g, max_n=cap)
-    except CapacityError:
+    if g.n > cap:
         return SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()
+    t0 = time.perf_counter()
+    oracle = solve_exact(g)
     elapsed_oracle = time.perf_counter() - t0
     t0 = time.perf_counter()
     decision = decide_eds(g)
@@ -278,11 +276,9 @@ def _audit_one(item: _Item, cap: int) -> dict:
     graph6, genspec, g = item
     if g.n == 0:
         return SkipRecord(graph6, 0, "empty-graph", genspec).to_json_dict()
-    try:
-        enum = solve_exact(g, enumerate_all=True, max_n=cap)
-    except CapacityError:
+    if g.n > cap:
         return SkipRecord(graph6, g.n, REASON_CAPACITY, genspec).to_json_dict()
-    solutions = enum.solutions
+    solutions = solve_exact(g, enumerate_all=True).solutions
     filter_violations: list[dict] = []
     probe_violations: list[dict] = []
     converse_violations: list[dict] = []
@@ -378,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the exact oracle per graph")
     add_input(p, with_gen=False)
     p.add_argument("--enumerate", action="store_true", help="enumerate all solutions")
-    p.add_argument("--max-n", type=_size_guard, default=DEFAULT_MAX_N,
-                   help=f"oracle size guard (default {DEFAULT_MAX_N})")
+    p.add_argument("--max-n", type=_size_guard, default=ORACLE_DEFAULT_MAX_N,
+                   help=f"oracle size guard (default {ORACLE_DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="run both solvers and record agreement")
@@ -389,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for replayable disagreement files")
     p.add_argument("--deterministic", action="store_true",
                    help="zeroed timings, byte-stable output")
-    p.add_argument("--max-n", type=_size_guard, default=DEFAULT_MAX_N,
-                   help=f"oracle size guard (default {DEFAULT_MAX_N})")
+    p.add_argument("--max-n", type=_size_guard, default=ORACLE_DEFAULT_MAX_N,
+                   help=f"oracle size guard (default {ORACLE_DEFAULT_MAX_N})")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("audit-facts",
@@ -425,7 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         # stderr, and point fd 1 at /dev/null so that a later flush (at the
         # exit of an in-process caller's interpreter) writes nowhere instead
         # of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

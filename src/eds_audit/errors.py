@@ -14,4 +14,4 @@ class ParseError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An input exceeds a configured size or retry budget."""
+    """A generator ran out of its retry budget before it made a graph."""

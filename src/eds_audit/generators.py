@@ -91,6 +91,9 @@ def _check_random_regular(n: int, r: int, seed: int) -> int:
         raise ValueError("random regular graph needs 0 <= r < n")
     if (n * r) % 2:
         raise ValueError("random regular graph needs n*r even")
+    # a connected 0-regular graph is K1, and a connected 1-regular graph K2
+    if r < 2 and n > r + 1:
+        raise ValueError("random regular graph needs r >= 2 or n = r + 1")
     # SplitMix64 reads a seed mod 2^64, so a seed outside would name the
     # graph of another seed under its own genspec
     if not 0 <= seed <= MAX_SEED:

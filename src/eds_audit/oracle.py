@@ -6,10 +6,7 @@ verification semantics, so the cross-check stays meaningful.
 
 from typing import NamedTuple
 
-from .errors import CapacityError
 from .graph import Graph, is_regular
-
-DEFAULT_MAX_N = 128
 
 
 class OracleReport(NamedTuple):
@@ -20,8 +17,7 @@ class OracleReport(NamedTuple):
     nodes_explored: int
 
 
-def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int = DEFAULT_MAX_N
-                ) -> OracleReport:
+def solve_exact(g: Graph, enumerate_all: bool = False) -> OracleReport:
     """Exact-cover backtracking over closed neighborhoods.
 
     A vertex x is available while N[x] misses every closed neighborhood
@@ -44,8 +40,6 @@ def solve_exact(g: Graph, enumerate_all: bool = False, *, max_n: int = DEFAULT_M
     """
     if g.n == 0:
         raise ValueError("oracle requires a nonempty graph")
-    if g.n > max_n:
-        raise CapacityError(f"n={g.n} exceeds the oracle size guard {max_n}")
 
     r = is_regular(g)
     if r is not None and g.n % (r + 1):

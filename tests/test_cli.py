@@ -201,6 +201,20 @@ def test_exit_code_table(capsys, command, expected):
             assert out.splitlines()[0] == P3_FIRST_LINE[command]
 
 
+def test_refusals_and_the_size_guard_in_order(capsys):
+    # two disjoint triangles above --max-n 4: compare refuses a disconnected
+    # graph before its guard applies; oracle and audit-facts refuse only the
+    # empty graph, so the guard is what stops them
+    skip = '{"genspec":null,"graph6":"EwCW","kind":"skip","n":6,"reason":"%s"}'
+    for command, expected in (
+            ("compare", (0, skip % "disconnected")),
+            ("audit-facts", (3, skip % "capacity")),
+            ("oracle", (3, '{"error":"capacity","graph6":"EwCW",'
+                           '"message":"n=6 exceeds the oracle size guard 4"}'))):
+        code, out, _ = run(capsys, command, "--max-n", "4", "EwCW")
+        assert (code, out.splitlines()[0]) == expected, command
+
+
 def test_exit_code_of_each_row_shape():
     # only a capacity row or skip calls for 3 and any other error row for 2;
     # a decide row's "reason" is no skip reason
@@ -291,7 +305,8 @@ def test_gen_bad_spec(capsys):
     code, out, err = run(capsys, "gen", "generalized-petersen:n=5")
     assert (code, out, err) == (2, "", "error: generalized-petersen spec missing ['k']\n")
     # every spec is checked before the first line is written
-    for bad in ("banana:n=2", "cycle:m=6", "random-regular:n=8,r=3,seed=4..2"):
+    for bad in ("banana:n=2", "cycle:m=6", "random-regular:n=8,r=3,seed=4..2",
+                "random-regular:n=4,r=1,seed=1..5"):
         code, out, _ = run(capsys, "gen", "cycle:n=6", bad)
         assert code == 2 and out == "", bad
 
@@ -565,7 +580,7 @@ def test_audit_builds_the_kernel_tables_once_per_graph(monkeypatch):
 def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
     """The three violation lists of an audit row, by one kernel probe per
     fixpoint vertex, run on every graph whether or not it has an EDS."""
-    solutions = solve_exact(g, enumerate_all=True, max_n=g.n).solutions
+    solutions = solve_exact(g, enumerate_all=True).solutions
     union = frozenset().union(*solutions)
     baseline, drops = reduce_to_fixpoint(g, frozenset(range(g.n)))
     filter_violations = [{"vertex": e.vertex, "witness": e.witness}
@@ -839,6 +854,21 @@ def test_closed_stdout_ends_the_run_quietly():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, b""), argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # in process, each run into a pipe whose reader is gone points fd 1 at
+    # /dev/null and keeps no other descriptor
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="ascii") as stream:
+            monkeypatch.setattr("sys.stdout", stream)
+            assert cli.main(["gen", "cycle:n=5"]) == 0
+            monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -89,7 +89,8 @@ def _reference_random_regular(n: int, r: int, seed: int):
             g = Graph.from_edges(n, sorted(seen))
             if is_connected(g):
                 return g
-    raise CapacityError(f"no pairing for n={n}, r={r}, seed={seed}")
+    raise CapacityError(f"no pairing for n={n}, r={r}, seed={seed} "
+                        f"within {PAIRING_RETRY_BUDGET} attempts")
 
 
 def _count_shuffles(monkeypatch) -> list[int]:
@@ -126,7 +127,7 @@ def test_random_regular_capacity_matches_reference(monkeypatch):
     calls = _count_shuffles(monkeypatch)
     for build in (gen_random_regular, _reference_random_regular):
         calls[0] = 0
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="attempts"):
             build(14, 6, 1)
         assert calls[0] == PAIRING_RETRY_BUDGET
 
@@ -142,10 +143,15 @@ def test_random_regular_smallest_stub_lists_pinned(monkeypatch):
             assert calls[0] == 1, (n, r, seed)
 
 
-def test_random_regular_impossible_exhausts_budget():
-    # r=0 on two vertices can never be connected
-    with pytest.raises(CapacityError, match="attempts"):
-        gen_random_regular(2, 0, 1)
+def test_random_regular_impossible_is_a_spec_error(monkeypatch):
+    # a connected 0-regular graph is K1 and a connected 1-regular graph K2,
+    # so r < 2 on more than r + 1 vertices names no graph: the range check
+    # refuses it before a single pairing attempt
+    calls = _count_shuffles(monkeypatch)
+    for n, r in ((2, 0), (3, 0), (4, 1), (400, 1)):
+        with pytest.raises(ValueError, match=r"r >= 2 or n = r \+ 1"):
+            gen_random_regular(n, r, 1)
+    assert calls[0] == 0
 
 
 def test_genspec_roundtrip():
@@ -210,7 +216,9 @@ def test_genspec_errors():
                           ("circulant:n=6,offsets=1+4", "offset 4 outside 1..n/2"),
                           ("generalized-petersen:n=6,k=3", "1 <= k < n/2"),
                           ("random-regular:n=3,r=3,seed=1..5", "0 <= r < n"),
-                          ("random-regular:seed=1,n=5,r=3", "n\\*r even")):
+                          ("random-regular:seed=1,n=5,r=3", "n\\*r even"),
+                          ("random-regular:n=2,r=0,seed=1", "r >= 2 or n = r \\+ 1"),
+                          ("random-regular:n=4,r=1,seed=1", "r >= 2 or n = r \\+ 1")):
         with pytest.raises(ValueError, match=message):
             parse_genspecs(text)
 

@@ -68,8 +68,6 @@ def test_first_solution_mode(c6):
 
 
 def test_capacity_guards():
-    with pytest.raises(CapacityError, match="size guard"):
-        solve_exact(cycle(10), max_n=9)
     with pytest.raises(CapacityError, match="naive"):
         solve_naive(cycle(21))
     with pytest.raises(ValueError, match="nonempty"):
@@ -146,7 +144,7 @@ def irregular_corpus() -> list[Graph]:
 
 def assert_matches_reference(g: Graph) -> None:
     for enumerate_all in (False, True):
-        got = solve_exact(g, enumerate_all, max_n=g.n)
+        got = solve_exact(g, enumerate_all)
         assert (got.solutions, got.nodes_explored) == reference_solve_exact(g, enumerate_all), g
 
 
@@ -181,7 +179,7 @@ def test_generalized_petersen_law_at_scale():
     nodes = 0
     for n in (64, 96, 128):
         for k in range(1, (n + 1) // 2):
-            report = solve_exact(gen_petersen(n, k), max_n=2 * n)
+            report = solve_exact(gen_petersen(n, k))
             assert report.has_eds == (n % 4 == 0 and k % 2 == 1), (n, k)
             nodes += report.nodes_explored
     assert nodes == 243065
