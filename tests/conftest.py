@@ -19,7 +19,6 @@ import pytest
 from hypothesis import strategies as st
 
 from eds_audit import cli, reduction
-from eds_audit.errors import CapacityError
 from eds_audit.generators import (
     gen_complete, gen_cycle, gen_hypercube, gen_petersen, gen_random_regular,
 )
@@ -111,18 +110,24 @@ def criterion1_corpus() -> list[Graph]:
 
 # Five counterexamples with r = 4..6, each with exactly one EDS: graph6 ->
 # (r, n, decide's work_counter, its one commit, which is also the anchor of
-# audit-facts' one converse finding, sha256 of decide's canonical trace)
+# audit-facts' one converse finding, the survivors of that anchor's probe,
+# sha256 of decide's canonical trace)
 COUNTEREXAMPLES = {
-    "N_sP@GooA`PQ?wHa?iO": (4, 15, 29, 0,
-                            "af2acbf92e2d762c2f726f339a4d55bd72d9048fe2e5fb635ce80dd4d5d010fe"),
+    "N_sP@GooA`PQ?wHa?iO": (
+        4, 15, 29, 0, (0, 5, 8, 12, 13),
+        "af2acbf92e2d762c2f726f339a4d55bd72d9048fe2e5fb635ce80dd4d5d010fe"),
     "QbG?[CsPC@_KopaEBa`CGBOToGO": (
-        5, 18, 27, 0, "59c8f56d519315e0f6015d83be97854654caee4677a6edb328d5a9d879ece62b"),
+        5, 18, 27, 0, (0, 2, 5, 14, 15),
+        "59c8f56d519315e0f6015d83be97854654caee4677a6edb328d5a9d879ece62b"),
     "W?_OC?O??dN?P?Wc@I@F??[?APbIC@OoBW?__GaSGGo?pO_": (
-        5, 24, 66, 4, "dfca24fcc033d9d225d1ba74c5cafc43650cb585eb98e8b2281d7831e6105b79"),
+        5, 24, 66, 4, (4, 5, 6, 8, 12, 13, 16, 18),
+        "dfca24fcc033d9d225d1ba74c5cafc43650cb585eb98e8b2281d7831e6105b79"),
     "TKT?@S_RP?O`cJX?VOCgD?yPCwKdW?Fa?IDP": (
-        6, 21, 37, 0, "3f9ff3d038158b2ee284b1f9c3b25ea2b60c01b102043eb3237de2936b9e91b6"),
+        6, 21, 37, 0, (0, 1, 7, 9, 13, 16, 17, 19),
+        "3f9ff3d038158b2ee284b1f9c3b25ea2b60c01b102043eb3237de2936b9e91b6"),
     "XJAG?ACoG@_O?@??_PPEGCQ???GOK?Q?NB??G?P?_@?`?G_@?OB": (
-        4, 25, 74, 0, "23b34a2ea175aa1b0f42e8c065eb40f095864c7cbefc2b5a1e60998d080a7930"),
+        4, 25, 74, 0, (0, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19, 22, 23),
+        "23b34a2ea175aa1b0f42e8c065eb40f095864c7cbefc2b5a1e60998d080a7930"),
 }
 
 
@@ -221,7 +226,7 @@ def solve_naive(g: Graph) -> OracleReport:
     if g.n == 0:
         raise ValueError("oracle requires a nonempty graph")
     if g.n > NAIVE_MAX_N:
-        raise CapacityError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
+        raise ValueError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
     masks = [sum(1 << u for u in closed_nbhd(g, v)) for v in range(g.n)]
     full = (1 << g.n) - 1
     found = []

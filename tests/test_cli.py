@@ -77,12 +77,6 @@ def test_decide_precondition_rows(capsys, tmp_path):
     assert summary["skips"] == 3 and summary["records"] == 0
 
 
-def test_decide_parse_error_exit(capsys):
-    code, _, err = run(capsys, "decide", "B\x01")
-    assert code == 2
-    assert "invalid graph6 byte" in err
-
-
 def test_missing_file_is_named(capsys):
     # a path that is no file is decoded as graph6, and the error says both;
     # a one-line argument has no line number to give
@@ -127,12 +121,6 @@ def test_oracle_enumerate(capsys):
     doc = out_lines(out)[0]
     assert doc["has_eds"] and doc["solutions"] == [[0, 3], [1, 4], [2, 5]]
     assert "elapsed" not in doc
-
-
-def test_oracle_capacity_exit(capsys):
-    code, out, _ = run(capsys, "oracle", "--max-n", "4", "EhEG")
-    assert code == 3
-    assert out_lines(out)[0]["error"] == "capacity"
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare", "audit-facts"])
@@ -256,11 +244,6 @@ def test_gen_cycle_line(capsys):
     assert code == 0 and out.strip() == encode_graph6(cycle(6))
 
 
-def test_gen_petersen_spec(capsys):
-    code, out, _ = run(capsys, "gen", "generalized-petersen:n=5,k=2")
-    assert code == 0 and out.strip() == encode_graph6(petersen())
-
-
 def test_gen_seed_range(capsys):
     code, out, _ = run(capsys, "gen", "random-regular:n=8,r=3,seed=1..5")
     assert code == 0
@@ -327,17 +310,6 @@ def test_compare_cycles(capsys, tmp_path):
     summary = out_lines(out)[-1]
     assert summary["kind"] == "summary"
     assert summary["records"] == 28 and summary["agreement_rate"] == 1.0
-
-
-def test_compare_skip_rows(capsys, tmp_path, monkeypatch):
-    p = tmp_path / "in.txt"
-    p.write_text(encode_graph6(path(3)) + "\n" + encode_graph6(cycle(6)) + "\n")
-    code, out, _ = run(capsys, "compare", str(p))
-    assert code == 0
-    rows = [parse_record_line(l) for l in out.splitlines()[:-1]]
-    kinds = [type(r).__name__ for r in rows]
-    assert kinds == ["SkipRecord", "CompareRecord"]
-    assert rows[0].reason == "not-regular"
 
 
 def test_compare_capacity_skip_continues(capsys, tmp_path):
@@ -508,13 +480,6 @@ def test_default_size_guards_at_their_boundaries(capsys):
         assert row["kind"] == "audit" if n == 20 else row["reason"] == "capacity", n
 
 
-def test_audit_facts_capacity(capsys):
-    code, out, _ = run(capsys, "audit-facts", "--gen", "cycle:n=25")
-    assert code == 3
-    rows = out_lines(out)
-    assert rows[0]["kind"] == "skip" and rows[0]["reason"] == "capacity"
-
-
 def test_audit_facts_generator_capacity_skip_continues(capsys):
     code, out, _ = run(capsys, "audit-facts", "--gen", "random-regular:n=14,r=6,seed=1..2",
                        "--gen", "cycle:n=9")
@@ -624,24 +589,13 @@ def test_audit_converse_findings_pinned(capsys):
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 
-# the survivors of each counterexample's probe of the anchor decide commits
-CONVERSE_SURVIVORS = {
-    "N_sP@GooA`PQ?wHa?iO": [0, 5, 8, 12, 13],
-    "QbG?[CsPC@_KopaEBa`CGBOToGO": [0, 2, 5, 14, 15],
-    "W?_OC?O??dN?P?Wc@I@F??[?APbIC@OoBW?__GaSGGo?pO_": [4, 5, 6, 8, 12, 13, 16, 18],
-    "TKT?@S_RP?O`cJX?VOCgD?yPCwKdW?Fa?IDP": [0, 1, 7, 9, 13, 16, 17, 19],
-    "XJAG?ACoG@_O?@??_PPEGCQ???GOK?Q?NB??G?P?_@?`?G_@?OB":
-        [0, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19, 22, 23],
-}
-
-
 @pytest.mark.parametrize("text", sorted(COUNTEREXAMPLES))
 def test_counterexamples_are_findings(capsys, text):
     # decide refutes a graph that has an EDS (test_known_findings_pinned):
     # its row names the one commit, compare records the disagreement with
     # both claim-audit flags, and audit-facts finds the one EDS and a
     # converse finding at the anchor decide commits
-    r, n, work, anchor, _ = COUNTEREXAMPLES[text]
+    r, n, work, anchor, survivors, _ = COUNTEREXAMPLES[text]
     code, out, _ = run(capsys, "decide", text)
     [row] = out_lines(out)
     assert code == 0 and (row["reason"], row["trace_summary"]["commits"], row["work_counter"]) \
@@ -658,7 +612,7 @@ def test_counterexamples_are_findings(capsys, text):
     row, summary = out_lines(out)
     assert code == 0 and (row["eds_count"], row["sound"]) == (1, True)
     assert row["probe_converse_violations"] == [
-        {"anchor": anchor, "survivors": CONVERSE_SURVIVORS[text]}]
+        {"anchor": anchor, "survivors": list(survivors)}]
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
 
 

@@ -108,8 +108,9 @@ def _count_shuffles(monkeypatch) -> list[int]:
 def test_random_regular_matches_whole_attempt_reference(monkeypatch):
     calls = _count_shuffles(monkeypatch)
     # r = 5 needs about 400 attempts a graph, each a full reference shuffle,
-    # so it runs 10 seeds where r = 3 and 4 run 30
-    for r, seeds in ((3, 30), (4, 30), (5, 10)):
+    # so it runs 10 seeds where r = 3 and 4 run 30; r = 2 is the cheapest
+    # and runs 3
+    for r, seeds in ((2, 3), (3, 30), (4, 30), (5, 10)):
         for n in range(r + 1, 41):
             if n * r % 2:
                 continue
@@ -349,28 +350,6 @@ def test_shuffle_matches_randbelow_fisher_yates():
             assert got == expected
             assert gen.state == ref.state
             assert gen.next_u64() == ref.next_u64()
-
-
-def test_random_regular_builds_what_from_edges_builds(monkeypatch):
-    # the accepted attempt's stubs, paired (2k, 2k+1), through
-    # Graph.from_edges: the same graph
-    shuffled = []
-    shuffle = SplitMix64.shuffle
-
-    def recorded(self, items):
-        shuffled[:] = [items]
-        return shuffle(self, items)
-
-    monkeypatch.setattr(SplitMix64, "shuffle", recorded)
-    for r in (2, 3, 4, 5):
-        for n in range(r + 1, 31):
-            if n * r % 2:
-                continue
-            for seed in (1, 2, 3):
-                g = gen_random_regular(n, r, seed)
-                stubs = shuffled[0]
-                want = Graph.from_edges(n, zip(stubs[::2], stubs[1::2]))
-                assert g == want, (n, r, seed)
 
 
 def test_gen_output_pinned(capsys):

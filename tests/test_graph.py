@@ -90,13 +90,6 @@ def test_adjacency_is_normalised():
     assert decide_eds(g).certificate.members == {0}
 
 
-def test_neighbors_examples(c6, k4):
-    assert c6.adj[0] == {1, 5}
-    assert k4.adj[2] == {0, 1, 3}
-    single = Graph.from_edges(1, [])
-    assert single.adj[0] == frozenset()
-
-
 def test_closed_neighbors_examples(c6, k4):
     # the reference the tests check verify_eds against, and verify_eds on
     # one-member sets, which are EDSs exactly when N[x] is every vertex
@@ -134,10 +127,3 @@ def test_preconditions_match_their_definitions(g):
         assert is_regular(g) == (degrees.pop() if len(degrees) == 1 else None)
         assert is_connected(g) == (-1 not in bfs_distances(g, 0))
 
-
-@given(graphs())
-def test_adjacency_symmetric_and_loop_free(g):
-    for v in range(g.n):
-        assert v not in g.adj[v]
-        for u in g.adj[v]:
-            assert v in g.adj[u]
