@@ -1,14 +1,19 @@
 """Shared fixtures: hand-built reference graphs, corpora, strategies and
 independent checkers.
 
-Reference graphs are built from each family's edge list here, independent of
-the package's generators, so generator tests have something to agree with.
+The tests hold one reference per idea, each independent of the package:
+- ``reference_edges``: each family's edge list, built here independent of
+  the package's generators, so generator tests have something to agree with;
+- ``distance_two`` and ``bfs_distances``: distances from ``g.adj`` alone;
+- ``drop_witnesses``: the drop rule, every witness in ascending id;
+- ``eds_by_definition``: the literal definition of an efficient dominating
+  set, which ``verify_eds``'s partition check is held to;
+- ``solve_naive``: every efficient dominating set, by testing all subsets.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
 from collections import deque
 from contextlib import redirect_stdout
@@ -24,9 +29,7 @@ from eds_audit.generators import (
 )
 from eds_audit.graph import Graph
 from eds_audit.oracle import OracleReport
-from eds_audit.records import (
-    KIND_AUDIT, KIND_RECORD, KIND_SKIP, KIND_SUMMARY, CompareRecord, SkipRecord, json_line,
-)
+from eds_audit.records import json_line
 from eds_audit.rng import rank_permutation
 
 
@@ -163,6 +166,14 @@ def distance_two(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(sorted(set().union(*(g.adj[u] for u in g.adj[v])) - g.adj[v] - {v}))
 
 
+def drop_witnesses(g: Graph, candidates: frozenset[int], v: int) -> list[int]:
+    """The drop rule: every witness c, in ascending id, that lets v leave
+    ``candidates``.  c is at distance 2 from v, and no candidate outside N(v)
+    is adjacent to c, so a set holding v leaves c undominated."""
+    nv = g.adj[v]
+    return [c for c in distance_two(g, v) if candidates.isdisjoint(g.adj[c] - nv)]
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """``g`` with vertex v renamed ``perm[v]``.  With ``perm`` =
     ``rank_permutation(g.n, s)``, the copy's ascending ids are g's vertices
@@ -201,21 +212,6 @@ def eds_by_definition(g: Graph, members: frozenset[int]) -> bool:
     return True
 
 
-def all_eds_bruteforce(g: Graph) -> list[frozenset[int]]:
-    """Enumerate every efficient dominating set by testing all subsets."""
-    assert g.n <= 16, "brute force oracle is for tiny graphs"
-    out = []
-    for k in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            s = frozenset(combo)
-            if eds_by_definition(g, s):
-                out.append(s)
-    return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-NAIVE_MAX_N = 20
-
-
 def solve_naive(g: Graph) -> OracleReport:
     """Test all 2^n subsets; the exact oracle's own ground truth at tiny sizes.
 
@@ -223,10 +219,7 @@ def solve_naive(g: Graph) -> OracleReport:
     are pairwise disjoint and cover every vertex (the partition
     characterization verify_eds implements).
     """
-    if g.n == 0:
-        raise ValueError("oracle requires a nonempty graph")
-    if g.n > NAIVE_MAX_N:
-        raise ValueError(f"n={g.n} exceeds the naive-solver guard {NAIVE_MAX_N}")
+    assert 0 < g.n <= 20, "the all-subsets solver is for tiny nonempty graphs"
     masks = [sum(1 << u for u in closed_nbhd(g, v)) for v in range(g.n)]
     full = (1 << g.n) - 1
     found = []
@@ -245,33 +238,6 @@ def solve_naive(g: Graph) -> OracleReport:
                 found.append(frozenset(v for v in range(g.n) if bits >> v & 1))
     solutions = tuple(sorted(found, key=lambda s: tuple(sorted(s))))
     return OracleReport(bool(solutions), solutions, 1 << g.n)
-
-
-_ROW_TYPES = {KIND_RECORD: CompareRecord, KIND_SKIP: SkipRecord}
-
-
-def parse_record_line(line: str) -> CompareRecord | SkipRecord | dict:
-    """Parse and validate one harness JSONL row.
-
-    Compare and skip rows come back as NamedTuples; audit and summary rows as
-    validated dicts.  Raises ValueError on anything malformed.
-    """
-    doc = json.loads(line)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("row is not an object with a 'kind' field")
-    kind = doc["kind"]
-    cls = _ROW_TYPES.get(kind)
-    if cls is not None:
-        names = cls._fields
-        if set(doc) != {"kind", *names}:
-            raise ValueError(f"{kind} row has wrong fields: {sorted(doc)}")
-        values = {name: doc[name] for name in names}
-        if "claim_audit_flags" in values:
-            values["claim_audit_flags"] = tuple(values["claim_audit_flags"])
-        return cls(**values)
-    if kind in (KIND_AUDIT, KIND_SUMMARY):
-        return doc
-    raise ValueError(f"unknown row kind {kind!r}")
 
 
 def replay_mismatches(path: Path) -> list[str]:

@@ -22,7 +22,7 @@ from eds_audit.reduction import (
     VERDICT_FOUND, VERDICT_NONE, WORK_BUDGET_COEFF, decide_eds, work_budget,
 )
 
-from .conftest import criterion1_corpus, parse_record_line, replay_mismatches, solve_naive
+from .conftest import criterion1_corpus, replay_mismatches, solve_naive
 
 
 def report(number: int, ok: bool, elapsed: float, note: str = "") -> None:
@@ -142,16 +142,17 @@ def test_criterion_6_claim_audit_at_scale(cubic_sweep):
     runs, elapsed = cubic_sweep
     (code, out, ce_dir), _ = runs
     assert code == 0
-    rows = [parse_record_line(line) for line in out.read_text().splitlines()]
-    records = [r for r in rows if isinstance(r, CompareRecord)]
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    records = [r for r in rows if r["kind"] == "record"]
     assert len(records) >= 1000
-    assert all(8 <= r.n <= 20 and r.r == 3 for r in records)
-    flagged = [r for r in records if not r.agree]
+    assert all(set(r) == {"kind", *CompareRecord._fields} for r in records)
+    assert all(8 <= r["n"] <= 20 and r["r"] == 3 for r in records)
+    flagged = [r for r in records if not r["agree"]]
     ce_files = sorted(ce_dir.glob("counterexample-*.json")) if ce_dir.exists() else []
-    assert len(ce_files) == len({r.graph6 for r in flagged})
+    assert len(ce_files) == len({r["graph6"] for r in flagged})
     for f in ce_files:
         assert replay_mismatches(f) == [], f
-    agreement = sum(r.agree for r in records) / len(records)
+    agreement = sum(r["agree"] for r in records) / len(records)
     report(6, elapsed < 600, elapsed,
            f"{len(records)} records, agreement {agreement:.3f}, "
            f"{len(ce_files)} counterexamples replayed")
@@ -164,10 +165,9 @@ def test_criterion_7_work_budget(cubic_sweep):
     (_, out, _), _ = runs
     violations = []
     for line in out.read_text().splitlines():
-        row = parse_record_line(line)
-        if isinstance(row, CompareRecord):
-            if row.work_counter > work_budget(row.n):
-                violations.append(row.graph6)
+        row = json.loads(line)
+        if row["kind"] == "record" and row["work_counter"] > work_budget(row["n"]):
+            violations.append(row["graph6"])
     assert violations == []
     elapsed = time.perf_counter() - t0
     report(7, True, elapsed, f"all runs within {WORK_BUDGET_COEFF}*n^4")

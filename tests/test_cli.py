@@ -19,8 +19,8 @@ from eds_audit.oracle import solve_exact
 from eds_audit.reduction import reduce_to_fixpoint
 
 from .conftest import (
-    COUNTEREXAMPLES, criterion1_corpus, cycle, parse_record_line, path, petersen, probe_in,
-    replay_mismatches, two_triangles,
+    COUNTEREXAMPLES, criterion1_corpus, cycle, path, petersen, probe_in, replay_mismatches,
+    two_triangles,
 )
 
 
@@ -301,12 +301,12 @@ def test_compare_cycles(capsys, tmp_path):
         argv += ["--gen", f"cycle:n={n}"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    rows = [parse_record_line(l) for l in out_path.read_text().splitlines()]
+    rows = [json.loads(l) for l in out_path.read_text().splitlines()]
     assert len(rows) == 28
     for row in rows:
-        assert row.agree
-        assert row.oracle_has_eds == (row.n % 3 == 0)
-        assert row.elapsed_decide == 0.0
+        assert row["kind"] == "record" and row["agree"]
+        assert row["oracle_has_eds"] == (row["n"] % 3 == 0)
+        assert row["elapsed_decide"] == 0.0
     summary = out_lines(out)[-1]
     assert summary["kind"] == "summary"
     assert summary["records"] == 28 and summary["agreement_rate"] == 1.0
@@ -587,6 +587,11 @@ def test_audit_converse_findings_pinned(capsys):
         {"anchor": 11, "survivors": [3, 4, 6, 9, 11]},
     ]
     assert summary == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 1}
+    # the README's r = 3 command
+    code, out, _ = run(capsys, "compare", "--deterministic", "K@U_?SRWe?O`")
+    row, _ = out_lines(out)
+    assert code == 0 and (row["agree"], row["claim_audit_flags"]) == (
+        False, ["candidates-exhausted", "probe-converse-violation"])
 
 
 @pytest.mark.parametrize("text", sorted(COUNTEREXAMPLES))
@@ -773,12 +778,6 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
-def fresh_interpreter(*argv, stdin=None):
-    """Run ``python argv`` in a fresh interpreter that imports this package."""
-    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
-                          text=True, env=fresh_env(), check=True)
-
-
 def fresh_cli(*argv, stdin=b"", stdout=subprocess.PIPE, **kwargs):
     """Run ``python -m eds_audit.cli argv`` in a fresh interpreter, whatever
     its exit code; its output is bytes."""
@@ -872,15 +871,16 @@ def test_a_process_ends_with_main_code_and_output(capsys, monkeypatch, tmp_path)
 def test_decide_reads_dev_stdin():
     # /dev/stdin is an existing path but no regular file: it is read, not
     # decoded as a graph6 literal
-    proc = fresh_interpreter("-m", "eds_audit.cli", "decide", "/dev/stdin", stdin="Bw\n")
-    rows = out_lines(proc.stdout)
+    proc = fresh_cli("decide", "/dev/stdin", stdin=b"Bw\n")
+    rows = out_lines(proc.stdout.decode())
     assert len(rows) == 1 and rows[0]["graph6"] == "Bw"
     assert rows[0]["verdict"] == "found"
 
 
 def imported_modules(*argv):
     """Every module a fresh interpreter imports to run argv, by -X importtime."""
-    proc = fresh_interpreter("-X", "importtime", *argv)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                          text=True, env=fresh_env(), check=True)
     return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 

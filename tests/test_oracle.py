@@ -11,17 +11,10 @@ from hypothesis import given, settings
 from eds_audit.generators import gen_circulant, gen_petersen, gen_random_regular, parse_genspec
 from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact
-from eds_audit.records import oracle_report_doc
 
 from .conftest import (
-    all_eds_bruteforce, complete, criterion1_corpus, cycle, graphs, hypercube, path, petersen,
-    reference_edges, solve_naive, two_triangles,
+    complete, criterion1_corpus, cycle, graphs, hypercube, path, reference_edges, solve_naive,
 )
-
-
-def test_k4_naive(k4):
-    report = solve_naive(k4)
-    assert [sorted(s) for s in report.solutions] == [[0], [1], [2], [3]]
 
 
 def test_q3_solutions(q3):
@@ -32,28 +25,9 @@ def test_q3_solutions(q3):
     assert solve_exact(q3, enumerate_all=True).solutions == report.solutions
 
 
-def test_matches_bruteforce_oracle():
-    for g in (cycle(5), cycle(6), complete(4), hypercube(3), two_triangles(),
-              petersen()):
-        expected = all_eds_bruteforce(g)
-        assert list(solve_naive(g).solutions) == expected
-        assert list(solve_exact(g, enumerate_all=True).solutions) == expected
-
-
 def test_capacity_guards():
-    with pytest.raises(ValueError, match="naive"):
-        solve_naive(cycle(21))
     with pytest.raises(ValueError, match="nonempty"):
         solve_exact(Graph.from_edges(0, []))
-    with pytest.raises(ValueError, match="nonempty"):
-        solve_naive(Graph.from_edges(0, []))
-
-
-def test_naive_node_count_and_oracle_doc_keys(c6):
-    report = solve_naive(c6)
-    assert report.nodes_explored == 64
-    doc = oracle_report_doc("EhEG", report)
-    assert set(doc) == {"graph6", "has_eds", "solutions", "nodes_explored"}
 
 
 # Reference recursive search: solve_exact's original form, one Python frame

@@ -23,9 +23,9 @@ from eds_audit.reduction import (
 from eds_audit.rng import rank_permutation
 
 from .conftest import (
-    COUNTEREXAMPLES, all_eds_bruteforce, as_mask, bfs_distances, complete, criterion1_corpus,
-    cycle, distance_two, graph_and_set, graphs, hypercube, path, petersen, probe_in, relabel,
-    seeded, two_triangles,
+    COUNTEREXAMPLES, as_mask, bfs_distances, complete, criterion1_corpus, cycle, distance_two,
+    drop_witnesses, graph_and_set, graphs, hypercube, path, petersen, probe_in, relabel, seeded,
+    solve_naive, two_triangles,
 )
 
 
@@ -33,59 +33,12 @@ def everything(g: Graph) -> frozenset[int]:
     return frozenset(range(g.n))
 
 
-def droppable_by_bruteforce(g: Graph, candidates: frozenset[int], v: int):
-    """Independent re-statement of the drop rule for cross-checking."""
-    witnesses = []
-    for c in range(g.n):
-        at_two = c not in g.adj[v] and c != v and (g.adj[c] & g.adj[v])
-        if at_two and not ((g.adj[c] - g.adj[v]) & candidates):
-            witnesses.append(c)
-    return witnesses
-
-
-class TestDropRuleReferences:
-    """The tests' two statements of the drop rule: reference_drop_witness,
-    the first witness, and droppable_by_bruteforce, every witness."""
-
-    def test_c4_drops_with_witness_2(self, c4):
-        # N(0)={1,3}, N(2)={1,3}: nothing outside N(0) can dominate 2
-        assert droppable_by_bruteforce(c4, everything(c4), 0) == [2]
-        assert reference_drop_witness(c4, everything(c4), 0) == 2
-
-    def test_c6_not_droppable(self, c6):
-        assert droppable_by_bruteforce(c6, everything(c6), 0) == []
-        assert reference_drop_witness(c6, everything(c6), 0) is None
-
-    def test_complete_graph_guard(self, k4):
-        # no vertex at distance 2 exists, so the rule never applies
-        assert reference_drop_witness(k4, everything(k4), 0) is None
-
-    def test_requires_membership(self, c6):
-        with pytest.raises(ValueError, match="not in the candidate set"):
-            reference_drop_witness(c6, frozenset({1, 2}), 0)
-
-    def test_smallest_witness_chosen(self):
-        # star-like graph where several distance-2 witnesses qualify
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert reference_drop_witness(g, everything(g), 0) == min(
-            droppable_by_bruteforce(g, everything(g), 0))
-
-    def test_matches_bruteforce_on_corpus(self):
-        graphs = [cycle(n) for n in range(3, 9)] + [hypercube(3), petersen(),
-                                                    path(6), two_triangles()]
-        for g in graphs:
-            for v in range(g.n):
-                expected = droppable_by_bruteforce(g, everything(g), v)
-                got = reference_drop_witness(g, everything(g), v)
-                assert got == (min(expected) if expected else None)
-
-
 class TestReduceToFixpoint:
     def test_c4_collapses(self, c4):
         final, drops = reduce_to_fixpoint(c4, everything(c4))
         assert final == frozenset()
-        assert len(drops) == 4
-        assert [e.vertex for e in drops] == [0, 1, 2, 3]
+        # each vertex drops with its antipode as witness: N(0) = N(2) = {1, 3}
+        assert [(e.vertex, e.witness) for e in drops] == [(0, 2), (1, 3), (2, 0), (3, 1)]
         assert all(e.stage == STAGE_INITIAL and e.kind == KIND_DROP for e in drops)
 
     def test_c6_is_fixed(self, c6):
@@ -105,8 +58,7 @@ class TestReduceToFixpoint:
             current = set(everything(g))
             final, drops = reduce_to_fixpoint(g, everything(g))
             for event in drops:
-                assert event.witness in droppable_by_bruteforce(
-                    g, frozenset(current), event.vertex)
+                assert event.witness in drop_witnesses(g, frozenset(current), event.vertex)
                 current.discard(event.vertex)
             assert frozenset(current) == final
 
@@ -117,8 +69,8 @@ def test_droppability_is_monotone(case, data):
     g, a = case
     b = data.draw(st.sets(st.sampled_from(sorted(a))) if a else st.just(set()))
     for v in sorted(b):
-        if reference_drop_witness(g, a, v) is not None:
-            assert reference_drop_witness(g, frozenset(b), v) is not None, (g, a, b, v)
+        if drop_witnesses(g, a, v):
+            assert drop_witnesses(g, frozenset(b), v), (g, a, b, v)
 
 
 @given(graph_and_set(max_n=12))
@@ -218,15 +170,14 @@ class TestDecide:
                 seed += 1
                 g = gen_random_regular(n, 3, seed)
                 d = decide_eds(g)
-                has = bool(all_eds_bruteforce(g))
+                solutions = solve_naive(g).solutions
                 if d.verdict == VERDICT_FOUND:
-                    assert has
-                    assert d.certificate.members in all_eds_bruteforce(g)
+                    assert d.certificate.members in solutions
                     assert len(d.certificate.members) == g.n // 4  # n/(r+1), r=3
                 # NoneExists may in principle be wrong (the unproven
                 # direction); on this frozen corpus it never is
                 else:
-                    assert not has
+                    assert not solutions
 
     def test_work_counter_positive_and_bounded(self):
         # the bound proved above WORK_BUDGET_COEFF: at most n + r + 1 probes,
@@ -310,7 +261,7 @@ def test_candidates_exhausted_dead_end():
     assert d.verdict == VERDICT_NONE
     assert d.reason == REASON_EXHAUSTED
     assert d.committed == (6,)
-    assert all_eds_bruteforce(g) == []
+    assert not solve_naive(g).has_eds
 
 
 class TestSoundness:
@@ -331,23 +282,22 @@ class TestSoundness:
 
     def test_filter_never_drops_a_solution_vertex(self):
         for g in self.corpus():
-            solutions = all_eds_bruteforce(g)
-            for s in solutions:
+            for s in solve_naive(g).solutions:
                 # on the full vertex set and on arbitrary supersets of s
                 supersets = [everything(g), s | frozenset(range(0, g.n, 2))]
                 for sup in supersets:
                     for v in sorted(s):
-                        assert reference_drop_witness(g, sup | s, v) is None, (g, s, v)
+                        assert not drop_witnesses(g, sup | s, v), (g, s, v)
 
     def test_reduction_preserves_all_solutions(self):
         for g in self.corpus():
             final, _ = reduce_to_fixpoint(g, everything(g))
-            for s in all_eds_bruteforce(g):
+            for s in solve_naive(g).solutions:
                 assert s <= final
 
     def test_empty_probe_excludes_anchor_from_solutions(self):
         for g in self.corpus():
-            solutions = all_eds_bruteforce(g)
+            solutions = solve_naive(g).solutions
             final, _ = reduce_to_fixpoint(g, everything(g))
             for anchor in sorted(final):
                 if not probe(g, final, anchor):
@@ -356,7 +306,7 @@ class TestSoundness:
     def test_probe_keeps_solutions_containing_anchor(self):
         for g in self.corpus():
             final, _ = reduce_to_fixpoint(g, everything(g))
-            for s in all_eds_bruteforce(g):
+            for s in solve_naive(g).solutions:
                 for anchor in sorted(s):
                     assert s <= probe(g, final, anchor), (g, s, anchor)
 
@@ -371,23 +321,10 @@ class TestSoundness:
                     assert anchor in survivors
 
 
-# Reference rescan reduction: a drop-witness test that builds N(c) - N(v)
-# per test, and a _reduce that re-sorts the candidates after every drop and
-# tests every candidate.  The bitmask _reduce, which tests only stale
-# vertices, must reproduce its tests and its flat log of drops and
-# witnesses; the drop-rule tests above state the rule on the same reference.
-
-
-def reference_drop_witness(g, candidates, v):
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex id {v} out of range for n={g.n}")
-    if v not in candidates:
-        raise ValueError(f"vertex {v} is not in the candidate set")
-    nv = g.adj[v]
-    for c in distance_two(g, v):
-        if candidates.isdisjoint(g.adj[c] - nv):
-            return c
-    return None
+# Reference rescan reduction: a _reduce that re-sorts the candidates after
+# every drop, tests every candidate by the drop rule's reference and drops
+# with its first witness.  The bitmask _reduce, which tests only stale
+# vertices, must reproduce its tests and its flat log of drops and witnesses.
 
 
 def reference_reduce(g, current, log):
@@ -395,10 +332,10 @@ def reference_reduce(g, current, log):
     while True:
         for v in sorted(current):
             tests += 1
-            c = reference_drop_witness(g, current, v)
-            if c is not None:
+            witnesses = drop_witnesses(g, current, v)
+            if witnesses:
                 current.discard(v)
-                log += v, c
+                log += v, witnesses[0]
                 break
         else:
             return tests
@@ -508,7 +445,7 @@ def lowest_witnesses(g, trace):
         if e.kind == KIND_COMMIT:
             cur -= g.adj[e.vertex] | set(distance_two(g, e.vertex))
         elif e.kind == KIND_DROP:
-            witnesses = droppable_by_bruteforce(g, frozenset(cur), e.vertex)
+            witnesses = drop_witnesses(g, frozenset(cur), e.vertex)
             assert e.witness in witnesses, e
             e = e._replace(witness=witnesses[0])
             cur.discard(e.vertex)
@@ -684,14 +621,16 @@ def test_gp_verdict_rule():
 
 
 def test_gp_eds_through_outer_0():
-    """Every GP(n,k) with 4 | n, k odd and n <= 48 has exactly 4 EDSs, and
-    exactly one holds outer 0: outer 4i with inner 4i + 2 (id n + 4i + 2),
-    which avoids outer 3.  So committing 3 after 0 rules out 'found'."""
+    """Every GP(n,k) with 4 | n, k odd and n <= 48 has exactly 4 EDSs, which
+    partition V, so each covers K_4 with them as fibres.  Exactly one holds
+    outer 0: outer 4i with inner 4i + 2 (id n + 4i + 2), which avoids outer
+    3.  So committing 3 after 0 rules out 'found'."""
     graphs = gp_rule_graphs(48)
     assert len(graphs) == 77
     for n, k in graphs:
         solutions = solve_exact(gen_petersen(n, k), enumerate_all=True).solutions
         assert len(solutions) == 4, (n, k)
+        assert sorted(v for s in solutions for v in s) == list(range(2 * n)), (n, k)
         through_0 = [s for s in solutions if 0 in s]
         assert through_0 == [frozenset(range(0, n, 4)) | frozenset(range(n + 2, 2 * n, 4))], \
             (n, k)
