@@ -23,10 +23,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
-from .errors import CapacityError, ParseError
-from .generators import GenSpec, parse_genspecs
+from .generators import CapacityError, GenSpec, parse_genspecs
 from .graph import (
-    Graph, encode_graph6, graph6_size_prefix, is_connected, is_regular, parse_graph6,
+    Graph, ParseError, encode_graph6, graph6_size_prefix, is_connected, is_regular,
+    parse_graph6,
 )
 from .oracle import solve_exact
 from .records import (
@@ -285,7 +285,7 @@ def _audit_one(item: _Item, cap: int) -> dict:
     # every check needs a solution vertex, or a solution: with none, all are vacuous
     if solutions:
         union = frozenset().union(*solutions)
-        # droppability is monotone (reduce_to_fixpoint), so a solution vertex
+        # droppability is monotone (reduction._reduce), so a solution vertex
         # droppable from V cannot reach the fixpoint: the drop log names it
         drops, probes = probe_each(g, frozenset(range(g.n)))
         filter_violations = [{"vertex": e.vertex, "witness": e.witness}
@@ -308,7 +308,7 @@ def _audit_one(item: _Item, cap: int) -> dict:
         "filter_soundness_violations": filter_violations,
         "probe_soundness_violations": probe_violations,
         "probe_converse_violations": converse_violations,
-        # always []: fixpoints are order-independent (reduce_to_fixpoint); pinned schema
+        # always []: fixpoints are order-independent (reduction._reduce); pinned schema
         "confluence_violations": [],
         "sound": not filter_violations and not probe_violations,
         "genspec": genspec,

@@ -7,12 +7,15 @@ the SplitMix64 generator so corpora are bit-reproducible.
 
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import CapacityError, ParseError
-from .graph import Graph, is_connected
+from .graph import Graph, ParseError, is_connected
 from .rng import SplitMix64
 
 PAIRING_RETRY_BUDGET = 10_000
 MAX_SEED = 2**64 - 1
+
+
+class CapacityError(RuntimeError):
+    """A generator ran out of its retry budget before it made a graph."""
 
 
 def _check_cycle(n: int) -> int:
@@ -251,7 +254,11 @@ def parse_genspecs(text: str) -> Iterator[GenSpec]:
 
 def parse_genspec(text: str) -> GenSpec:
     """Parse a spec that names exactly one graph; a seed range over several
-    seeds is an error."""
+    seeds is an error.
+
+    No CLI path calls it: ``bench/run.py`` holds it, by importing
+    ``generators.parse_genspec`` by name, and it goes when that import does.
+    """
     spec, *rest = parse_genspecs(text)
     if rest:
         raise ValueError(f"{text!r} names {1 + len(rest)} graphs, not one")

@@ -12,14 +12,22 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable
 
-from .errors import ParseError
-
 VertexSet = frozenset[int]
 
 GRAPH6_HEADER = ">>graph6<<"
 
 # graph6 payload bytes live in [63, 126]: chr(63 + six-bit group).
 _G6_MIN = 63
+
+
+class ParseError(ValueError):
+    """Malformed input; ``offset``, a 0-based byte offset into graph6 text if
+    known, is named at the end of the message."""
+
+    def __init__(self, message: str, *, offset: int | None = None):
+        if offset is not None:
+            message = f"{message} (byte offset {offset})"
+        super().__init__(message)
 
 
 class Graph:

@@ -156,17 +156,29 @@ def _reduce(t: _Scan, cur: int, stale: int, log: list[int]) -> tuple[int, int]:
     ``_events`` turns a log into trace events, which only the callers that
     keep the drops pay for.
 
+    The fixpoint does not depend on the scan order, only the drop log does:
+    the fixpoint of a relabelled copy of g, scanned in its ascending ids, is
+    the relabelled fixpoint.  Proof.  Droppability is monotone: v is
+    droppable in A when some row N(c) - N(v) of v is disjoint from A, and a
+    row disjoint from A is disjoint from every B with v in B and B a subset
+    of A.  Let v1..vk be the drops of one scan from A, ending at F1, and let
+    F2 be any fixed point reached from A by another scan.  By induction on
+    i, v1..vi-1 are not in F2, so F2 is a subset of A - {v1..vi-1}, in which
+    vi is droppable; if vi were in F2 it would be droppable in F2, which is
+    a fixed point, so vi is not in F2 either.  Hence F2 is a subset of
+    F1 = A - {v1..vk}, and by symmetry F1 = F2.
+
     Only the vertices in ``stale`` can be droppable: all of ``cur``, or,
     when ``cur`` is a fixpoint less some deleted vertices, the ones whose
     rows N(c) - N(v) meet the deleted ones.  The loop tests the lowest stale
     vertex v: it takes ``rest`` = ``cur`` - N(v) once, and one AND per c in
     ``far[v]``, in ascending c, finds whether N(c) misses ``rest``.  A drop
     logs the first such c as the witness and makes stale the candidates
-    whose rows hold v.  Droppability is monotone (``reduce_to_fixpoint``),
-    so a vertex outside ``stale`` stays undroppable, and the lowest stale
-    droppable vertex is the rescan's next drop, with the same witness.  The
-    rescan tests every candidate below that drop, and at the fixpoint
-    every candidate: the count is computed from those positions.
+    whose rows hold v.  Droppability is monotone, so a vertex outside
+    ``stale`` stays undroppable, and the lowest stale droppable vertex is
+    the rescan's next drop, with the same witness.  The rescan tests every
+    candidate below that drop, and at the fixpoint every candidate: the
+    count is computed from those positions.
     """
     far, nbr, reach = t.far, t.nbr, t.reach
     stale &= cur
@@ -212,26 +224,12 @@ def _candidates(g: Graph, a: VertexSet) -> tuple[_Scan, int]:
 
 
 def reduce_to_fixpoint(g: Graph, a: VertexSet) -> tuple[frozenset[int], tuple[TraceEvent, ...]]:
-    """Apply the drop filter until no vertex of ``a`` qualifies, scanning in
-    ascending id.
+    """The fixpoint of ``a`` under the drop filter, scanned in ascending
+    id, and its drop events.
 
-    Returns the fixed point and the ordered drop log.  Another scan order,
-    such as ascending id on a relabelled copy of g, changes the drop log,
-    never the fixed point.
-
-    Proof.  Droppability is monotone: v is droppable in A when some row
-    N(c) - N(v) of v is disjoint from A, and a row disjoint from A is
-    disjoint from every B with v in B and B a subset of A.  Let v1..vk be the
-    drops of one scan, ending at F1, and let F2 be any fixed point reached
-    from ``a`` by another scan.  By induction on i, v1..vi-1 are not in F2,
-    so F2 is a subset of a - {v1..vi-1}, in which vi is droppable; if vi were
-    in F2 it would be droppable in F2, which is a fixed point, so vi is not
-    in F2 either.  Hence F2 is a subset of F1 = a - {v1..vk}, and by symmetry
-    F1 = F2.
-
-    No CLI path calls ``reduce_to_fixpoint`` (``audit-facts`` uses
-    ``probe_each``); it stays because ``bench/spans.py`` wraps
-    ``reduction.reduce_to_fixpoint`` by name, and goes when that span does.
+    No CLI path calls it: ``bench/spans.py`` holds it, by wrapping
+    ``reduction.reduce_to_fixpoint`` by name, and it goes when that span
+    does.  ``probe_each`` gives the same fixpoint and drops.
     """
     t, cur = _candidates(g, a)
     log: list[int] = []
@@ -243,18 +241,13 @@ def probe(g: Graph, a: VertexSet, anchor: int) -> frozenset[int]:
     """Delete N(anchor) and the distance-2 vertices of anchor from ``a``,
     reduce to a fixpoint, and return the survivors.
 
-    ``a`` must be a fixpoint of the drop filter, such as ``decide_eds``'s
-    current set or the result of ``reduce_to_fixpoint``: only the vertices
-    whose rows meet the deleted ball are tested, so a droppable vertex of
-    ``a`` elsewhere would survive.
+    ``a`` must be a fixpoint of the drop filter: only the vertices whose
+    rows meet the deleted ball are tested, so a droppable vertex of ``a``
+    elsewhere would survive.
 
-    Empty survivors certify the anchor belongs to no efficient dominating set
-    contained in ``a`` (sound); nonempty survivors decide nothing by
-    themselves.
-
-    No CLI path calls ``probe`` (``audit-facts`` uses ``probe_each``); it
-    stays because ``bench/spans.py`` wraps ``reduction.probe`` by name, and
-    goes when that span does.
+    No CLI path calls it: ``bench/spans.py`` holds it, by wrapping
+    ``reduction.probe`` by name, and it goes when that span does.
+    ``probe_each`` gives every anchor's survivors.
     """
     if anchor not in a:
         raise ValueError(f"anchor {anchor} is not in the candidate set")
@@ -267,9 +260,13 @@ def probe_each(g: Graph, a: VertexSet) -> tuple[tuple[TraceEvent, ...], dict[int
     """Reduce ``a`` to its fixpoint F and probe every vertex of F, from one
     build of the tables.
 
-    Returns ``reduce_to_fixpoint(g, a)[1]``, the drop log, and for each x of
-    F in ascending id the survivors ``probe(g, F, x)`` as a tuple in
-    ascending id.
+    Returns the drop events of the reduction, in order and labelled
+    'initial-reduction', and for each x of F in ascending id the survivors
+    of x's probe as a tuple in ascending id.  The probe of x deletes N(x)
+    and the distance-2 vertices of x from F and reduces to a fixpoint again.
+    Empty survivors certify that x belongs to no efficient dominating set
+    contained in F, so in none contained in ``a`` (sound); nonempty
+    survivors decide nothing by themselves.
     """
     t, cur = _candidates(g, a)
     log: list[int] = []

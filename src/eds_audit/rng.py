@@ -98,11 +98,11 @@ class SplitMix64:
 def rank_permutation(n: int, seed: int) -> tuple[int, ...]:
     """rank[v] = position of vertex v in a seeded shuffle of 0..n-1.
 
-    The tests relabel a graph by it, vertex v becoming rank[v], to scan it
-    in a seeded order: ``decide_eds`` scans in ascending id only.  No CLI
-    path calls it; it stays because ``bench/spans.py`` wraps
-    ``rng.rank_permutation`` by name, and can move to the tests when that
-    span goes.  The shuffle yields every vertex once, as its position
+    The tests' ``seeded`` relabels a graph by it, vertex v becoming
+    rank[v], to scan it in a seeded order: ``decide_eds`` scans in ascending
+    id only.  No CLI path calls it: ``bench/spans.py`` holds it, by wrapping
+    ``rng.rank_permutation`` by name, and it moves beside ``seeded`` when
+    that span goes.  The shuffle yields every vertex once, as its position
     becomes final, so the result is a permutation of range(n) by
     construction.
     """

@@ -6,8 +6,11 @@ The tests hold one reference per idea, each independent of the package:
   the package's generators, so generator tests have something to agree with;
 - ``distance_two`` and ``bfs_distances``: distances from ``g.adj`` alone;
 - ``drop_witnesses``: the drop rule, every witness in ascending id;
+- ``reference_reduce``: the one rescan reference, the drop rule applied to
+  a fixpoint by rescanning from the front after every drop;
 - ``eds_by_definition``: the literal definition of an efficient dominating
   set, which ``verify_eds``'s partition check is held to;
+- ``residue_law``: which circulants have an efficient dominating set;
 - ``solve_naive``: every efficient dominating set, by testing all subsets.
 """
 
@@ -174,6 +177,24 @@ def drop_witnesses(g: Graph, candidates: frozenset[int], v: int) -> list[int]:
     return [c for c in distance_two(g, v) if candidates.isdisjoint(g.adj[c] - nv)]
 
 
+def reference_reduce(g: Graph, current: set[int], log: list[int]) -> int:
+    """Drop the lowest vertex of ``current`` that ``drop_witnesses`` lets
+    go, with its first witness, and rescan from the front, until none goes.
+    ``current`` shrinks to the fixpoint, each drop appends its vertex and
+    witness to ``log``, and the return value counts the vertices tested."""
+    tests = 0
+    while True:
+        for v in sorted(current):
+            tests += 1
+            witnesses = drop_witnesses(g, current, v)
+            if witnesses:
+                current.discard(v)
+                log += v, witnesses[0]
+                break
+        else:
+            return tests
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """``g`` with vertex v renamed ``perm[v]``.  With ``perm`` =
     ``rank_permutation(g.n, s)``, the copy's ascending ids are g's vertices
@@ -210,6 +231,15 @@ def eds_by_definition(g: Graph, members: frozenset[int]) -> bool:
         if v not in members and len(g.adj[v] & members) != 1:
             return False
     return True
+
+
+def residue_law(n: int, offsets: Sequence[int]) -> bool:
+    """Whether the circulant C_n(offsets), offsets at most n/2, has an
+    efficient dominating set by the residue law: the r + 1 steps 0 and +-o
+    of a closed neighbourhood (n/2 is one step) must have pairwise distinct
+    residues mod r + 1, and r + 1 must divide n.  Only "if" is proved."""
+    steps = {0, *offsets, *(n - o for o in offsets)}
+    return n % len(steps) == 0 and len({s % len(steps) for s in steps}) == len(steps)
 
 
 def solve_naive(g: Graph) -> OracleReport:

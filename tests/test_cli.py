@@ -12,15 +12,14 @@ from pathlib import Path
 import pytest
 
 import eds_audit.cli as cli
-from eds_audit import reduction
-from eds_audit.generators import GenSpec, gen_petersen, gen_random_regular, parse_genspec
+from eds_audit import generators, reduction, rng
+from eds_audit.generators import GenSpec, gen_petersen, gen_random_regular, parse_genspecs
 from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
-from eds_audit.reduction import reduce_to_fixpoint
 
 from .conftest import (
-    COUNTEREXAMPLES, criterion1_corpus, cycle, path, petersen, probe_in, replay_mismatches,
-    two_triangles,
+    COUNTEREXAMPLES, criterion1_corpus, cycle, path, petersen, probe_in, reference_reduce,
+    replay_mismatches, two_triangles,
 )
 
 
@@ -411,6 +410,34 @@ def test_each_output_line_is_one_write(monkeypatch, argv, lines):
     assert all(text.endswith("\n") and text.count("\n") == 1 for text in out.calls)
 
 
+def test_no_command_reaches_a_held_name(capsys, monkeypatch):
+    # bench/spans.py wraps reduction.probe, reduction.reduce_to_fixpoint and
+    # rng.rank_permutation by name, and bench/run.py imports
+    # generators.parse_genspec.  Each is replaced, in every eds_audit module
+    # that binds it, by a function that raises, and every command still
+    # writes its rows.  A command through reduction.probe would make every
+    # traced benchmark run raise in the span's hook
+    held = (reduction.probe, reduction.reduce_to_fixpoint, rng.rank_permutation,
+            generators.parse_genspec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called a name only bench/ reads")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eds_audit" or name.startswith("eds_audit."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in held):
+                    monkeypatch.setattr(module, key, refuse)
+    specs = "random-regular:n=12,r=3,seed=258..259"  # seed 259 is K@U_?SRWe?O`
+    for argv, rows in ((["decide", "--trace", "K@U_?SRWe?O`"], 1),
+                       (["oracle", "--enumerate", "K@U_?SRWe?O`"], 1),
+                       (["compare", "--deterministic", "--gen", specs], 3),
+                       (["audit-facts", "--gen", specs], 3),
+                       (["gen", specs], 2)):
+        code, out, _ = run(capsys, *argv)
+        assert (code, len(out.splitlines())) == (0, rows), argv
+
+
 def test_audit_facts_cycles(capsys, tmp_path):
     out_path = tmp_path / "audit.jsonl"
     argv = ["audit-facts", "--out", str(out_path)]
@@ -543,13 +570,14 @@ def test_audit_builds_the_kernel_tables_once_per_graph(monkeypatch):
 
 
 def reference_audit_lists(g: Graph) -> tuple[list, list, list]:
-    """The three violation lists of an audit row, by one kernel probe per
-    fixpoint vertex, run on every graph whether or not it has an EDS."""
+    """The three violation lists of an audit row, by the rescan reference and
+    one kernel probe per fixpoint vertex, on every graph, with an EDS or not."""
     solutions = solve_exact(g, enumerate_all=True).solutions
     union = frozenset().union(*solutions)
-    baseline, drops = reduce_to_fixpoint(g, frozenset(range(g.n)))
-    filter_violations = [{"vertex": e.vertex, "witness": e.witness}
-                         for e in drops if e.vertex in union]
+    baseline, log = set(range(g.n)), []
+    reference_reduce(g, baseline, log)
+    filter_violations = [{"vertex": v, "witness": c}
+                         for v, c in zip(log[::2], log[1::2]) if v in union]
     probe_violations, converse_violations = [], []
     for anchor in sorted(baseline):
         survivors, _, _ = probe_in(g, baseline, anchor)
@@ -567,8 +595,8 @@ def test_audit_rows_match_the_reference_audit():
     graphs += [gen_petersen(n, k) for n in range(3, 11) for k in range(1, (n + 1) // 2)]
     # seed 259 has converse findings; n=16 seed 2 has no EDS, yet some of
     # its baseline probes are nonempty, which no row may report
-    graphs += [parse_genspec(f"random-regular:{spec}").build()
-               for spec in ("n=12,r=3,seed=259", "n=16,r=3,seed=2")]
+    graphs += [spec.build() for text in ("n=12,r=3,seed=259", "n=16,r=3,seed=2")
+               for spec in parse_genspecs(f"random-regular:{text}")]
     for g in graphs:
         row = cli._audit_one((encode_graph6(g), None, g), cli.AUDIT_DEFAULT_MAX_N)
         got = (row["filter_soundness_violations"], row["probe_soundness_violations"],

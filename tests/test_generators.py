@@ -12,12 +12,11 @@ import pytest
 import eds_audit.cli as cli
 
 from eds_audit import generators, rng
-from eds_audit.errors import CapacityError, ParseError
 from eds_audit.generators import (
-    PAIRING_RETRY_BUDGET, GenSpec, gen_circulant, gen_complete, gen_cycle, gen_hypercube,
-    gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
+    PAIRING_RETRY_BUDGET, CapacityError, GenSpec, gen_circulant, gen_complete, gen_cycle,
+    gen_hypercube, gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
 )
-from eds_audit.graph import Graph, encode_graph6, is_connected, is_regular
+from eds_audit.graph import Graph, ParseError, encode_graph6, is_connected, is_regular
 from eds_audit.rng import SplitMix64, rank_permutation
 
 from .conftest import cycle, petersen, reference_edges
@@ -161,26 +160,24 @@ def test_genspec_roundtrip():
              "random-regular:n=10,r=3,seed=42")
     assert [text.partition(":")[0] for text in texts] == list(generators._FAMILIES)
     for text in texts:
-        spec = parse_genspec(text)
+        [spec] = parse_genspecs(text)
         assert spec.canonical() == text
-        assert list(parse_genspecs(text)) == [spec]
         # order is read off the fields, for the size guard, before any build
         assert spec.order == spec.build().n, text
 
 
 def test_genspec_builds_expected():
-    assert parse_genspec("cycle:n=6").build() == cycle(6)
-    assert parse_genspec("generalized-petersen:n=5,k=2").build() == petersen()
-    g = parse_genspec("circulant:n=9,offsets=1+2").build()
-    assert is_regular(g) == 4
+    texts = ("cycle:n=6", "generalized-petersen:n=5,k=2", "circulant:n=9,offsets=1+2")
+    c6, pet, g = (spec.build() for text in texts for spec in parse_genspecs(text))
+    assert (c6, pet, is_regular(g)) == (cycle(6), petersen(), 4)
 
 
 def test_circulant_offsets_are_canonical(capsys):
     # offsets name a set: every spelling of one graph parses to one spec,
     # and its rows carry the offsets sorted, each once
-    canonical = parse_genspec("circulant:n=9,offsets=1+2")
+    canonical = GenSpec("circulant", (9, (1, 2)))
     for text in ("circulant:n=9,offsets=2+1", "circulant:n=9,offsets=1+2+2"):
-        assert parse_genspec(text) == canonical
+        assert list(parse_genspecs(text)) == [canonical]
         assert cli.main(["compare", "--deterministic", "--gen", text]) == 0
         row = json.loads(capsys.readouterr().out.splitlines()[0])
         assert row["genspec"] == "circulant:n=9,offsets=1+2"
@@ -188,21 +185,21 @@ def test_circulant_offsets_are_canonical(capsys):
 
 def test_genspec_errors():
     with pytest.raises(ValueError, match="unknown graph family"):
-        parse_genspec("torus:n=5")
+        parse_genspecs("torus:n=5")
     with pytest.raises(ValueError, match="missing"):
-        parse_genspec("cycle:")
+        parse_genspecs("cycle:")
     with pytest.raises(ValueError, match="missing"):
-        parse_genspec("random-regular:n=10,r=3")
+        parse_genspecs("random-regular:n=10,r=3")
     with pytest.raises(ValueError, match=r"missing \['k', 'n'\]"):
         parse_genspecs("generalized-petersen:")
     with pytest.raises(ValueError, match="bad parameter"):
-        parse_genspec("cycle:n=6,r=2")
+        parse_genspecs("cycle:n=6,r=2")
     with pytest.raises(ValueError, match="non-integer"):
-        parse_genspec("cycle:n=six")
+        parse_genspecs("cycle:n=six")
     with pytest.raises(ValueError, match="duplicate"):
-        parse_genspec("cycle:n=6,n=7")
+        parse_genspecs("cycle:n=6,n=7")
     with pytest.raises(ValueError, match="bad offsets"):
-        parse_genspec("circulant:n=9,offsets=1+x")
+        parse_genspecs("circulant:n=9,offsets=1+x")
     for seeds in ("1..x", "..3", "4..2"):
         with pytest.raises(ParseError, match="bad seed range"):
             parse_genspecs(f"random-regular:n=8,r=3,seed={seeds}")
@@ -225,7 +222,7 @@ def test_genspec_errors():
 
 
 def test_seed_range_expands_in_any_position(capsys):
-    singles = [parse_genspec(f"random-regular:n=8,r=3,seed={s}") for s in (1, 2, 3)]
+    singles = [GenSpec("random-regular", (8, 3, s)) for s in (1, 2, 3)]
     lines = [encode_graph6(spec.build()) for spec in singles]
     for text in ("random-regular:n=8,r=3,seed=1..3", "random-regular:seed=1..3,n=8,r=3",
                  "random-regular:n=8,seed=1..3,r=3"):
@@ -243,7 +240,7 @@ def test_seed_range_is_expanded_lazily():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == parse_genspec("random-regular:n=12,r=3,seed=1")
+    assert first == GenSpec("random-regular", (12, 3, 1))
     assert peak < 64 * 1024, peak
 
 

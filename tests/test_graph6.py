@@ -8,8 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eds_audit.errors import ParseError
-from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
+from eds_audit.graph import GRAPH6_HEADER, Graph, ParseError, encode_graph6, parse_graph6
 
 from .conftest import complete, cycle, graphs, hypercube, petersen
 

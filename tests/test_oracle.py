@@ -8,12 +8,13 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from eds_audit.generators import gen_circulant, gen_petersen, gen_random_regular, parse_genspec
+from eds_audit.generators import gen_circulant, gen_petersen, gen_random_regular, parse_genspecs
 from eds_audit.graph import Graph, is_regular
 from eds_audit.oracle import solve_exact
 
 from .conftest import (
-    complete, criterion1_corpus, cycle, graphs, hypercube, path, reference_edges, solve_naive,
+    complete, criterion1_corpus, cycle, graphs, hypercube, path, reference_edges, residue_law,
+    solve_naive,
 )
 
 
@@ -102,10 +103,10 @@ def test_iterative_search_matches_recursive_reference():
     # first-solution searches where the oracle really works: the compare-large
     # benchmark corpus at seed 1
     large = [gen_random_regular(n, 3, seed) for n in (96, 112, 128) for seed in range(1, 21)]
-    large += [parse_genspec(spec).build() for spec in (
+    large += [spec.build() for text in (
         "hypercube:d=7", "cycle:n=120", "cycle:n=126", "circulant:n=120,offsets=1+2",
         "circulant:n=126,offsets=1+2+3", "generalized-petersen:n=60,k=1",
-        "generalized-petersen:n=64,k=3")]
+        "generalized-petersen:n=64,k=3") for spec in parse_genspecs(text)]
     for g in large:
         got = solve_exact(g)
         assert (got.solutions, got.nodes_explored) == reference_solve_exact(g), g
@@ -133,27 +134,24 @@ def test_generalized_petersen_law_at_scale():
 
 
 def test_circulant_residue_law():
-    """C_n(O), offsets below n/2, has degree r = 2|O|.  The law: it has an
-    EDS iff (r+1) | n and 0 and the residues of +-o mod r+1, o in O, are
-    pairwise distinct.  Only "if" is proved: then the multiples of r+1,
-    the coset (r+1)Z_n, are an EDS.  "Only if" is checked here, on every
-    connected circulant with r = 4 and n <= 60 or r = 6 and n <= 35."""
+    """C_n(O), offsets below n/2, has degree r = 2|O|; the cubic C_n(a, n/2)
+    has r = 3.  The law (``residue_law``): it has an EDS iff (r+1) | n and
+    the residues of 0 and +-o mod r+1, o in O, are pairwise distinct.  Only
+    "if" is proved: then the multiples of r+1, the coset (r+1)Z_n, are an
+    EDS.  "Only if" is checked here, on every connected circulant with
+    r = 4 and n <= 60, r = 6 and n <= 35, or r = 3 and n <= 128."""
+    cases = [(n, offsets) for r, max_n in ((4, 60), (6, 35)) for n in range(r + 1, max_n + 1)
+             for offsets in itertools.combinations(range(1, (n + 1) // 2), r // 2)]
+    cases += [(n, (a, n // 2)) for n in range(4, 129, 2) for a in range(1, n // 2)]
     counts = {}
-    for r, max_n in ((4, 60), (6, 35)):
-        graphs = with_eds = 0
-        for n in range(r + 1, max_n + 1):
-            for offsets in itertools.combinations(range(1, (n + 1) // 2), r // 2):
-                if math.gcd(n, *offsets) != 1:
-                    continue
-                residues = {0, *(o % (r + 1) for o in offsets),
-                            *(-o % (r + 1) for o in offsets)}
-                law = n % (r + 1) == 0 and len(residues) == r + 1
-                has_eds = solve_exact(gen_circulant(n, offsets)).has_eds
-                assert has_eds == law, (n, offsets)
-                graphs += 1
-                with_eds += has_eds
-        counts[r] = (graphs, with_eds)
-    assert counts == {4: (6943, 532), 6: (5223, 214)}
+    for n, offsets in cases:
+        if math.gcd(n, *offsets) == 1:
+            g = gen_circulant(n, offsets)
+            has_eds = solve_exact(g).has_eds
+            assert has_eds == residue_law(n, offsets), (n, offsets)
+            graphs, with_eds = counts.get(len(g.adj[0]), (0, 0))
+            counts[len(g.adj[0])] = (graphs + 1, with_eds + has_eds)
+    assert counts == {3: (1259, 213), 4: (6943, 532), 6: (5223, 214)}
 
 @given(graphs())
 @settings(max_examples=150, deadline=None)
