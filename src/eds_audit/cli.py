@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import stat
 import sys
 import time
 from contextlib import nullcontext
@@ -52,12 +51,13 @@ _Item = tuple[str, str | None, Graph]  # a collect_inputs graph: (graph6, genspe
 def collect_inputs(args) -> Iterator[_Item | SkipRecord]:
     """Yield (canonical graph6, genspec-or-None, Graph) for each input graph.
 
-    The input is stdin ("-" or none), any existing path that is not a
-    directory (a regular file, /dev/stdin, a pipe), or else one literal graph6
-    string (so a directory or "" is a literal that does not decode).  Errors
-    in the input source (input given with --gen, a bad --gen spec, a literal
-    that does not decode, an empty input) are raised by this call, before the
-    caller opens its output.
+    The input is stdin ("-" or none), a file exactly when os.path.exists and
+    not os.path.isdir (a regular file, /dev/stdin, a pipe), or else one
+    literal graph6 string: "", a directory, a missing path or a broken
+    symlink.  os.path.exists returns False for a literal too long to be a
+    path, where a stat call raises.  Errors in the input source (input given
+    with --gen, a bad --gen spec, a literal that does not decode, an empty
+    input) are raised by this call, before the caller opens its output.
     Stdin and files are read as bytes, and lines end at \\n, \\r\\n or \\r
     only.  Each byte decodes to one character, so a byte above 127 is a
     graph6 error of its line, raised after the rows of the lines before it.
@@ -74,19 +74,10 @@ def collect_inputs(args) -> Iterator[_Item | SkipRecord]:
         return _built(_genspecs(gen_args), args.max_n)
     if args.input is None or args.input == "-":
         data = sys.stdin.buffer.read()
+    elif os.path.exists(args.input) and not os.path.isdir(args.input):
+        data = Path(args.input).read_bytes()
     else:
-        path = Path(args.input)
-        try:
-            is_file = not stat.S_ISDIR(path.stat().st_mode)
-        except OSError:  # no such path, or a literal longer than a file name can be
-            is_file = False
-        if not is_file:
-            try:
-                return iter(list(_decoded([(None, args.input)])))
-            except ParseError as exc:
-                raise ParseError(f"{args.input!r} is neither an existing file nor valid "
-                                 f"graph6: {exc}") from None
-        data = path.read_bytes()
+        return iter(list(_decoded([(None, args.input)])))
     lines = [(lineno, line.decode("ascii", "surrogateescape"))
              for lineno, line in enumerate(data.splitlines(), 1) if line.strip()]
     if not lines:
@@ -117,7 +108,10 @@ def _built(specs: Iterable[GenSpec], cap: int) -> Iterator[tuple[str, str, Graph
 
 
 def _decoded(lines: list[tuple[int | None, str]]) -> Iterator[tuple[str, None, Graph]]:
-    """Decode each line; errors name its line number unless that is None.
+    """Decode each line.  A line that does not decode raises a ParseError
+    that names it: "line N: ..." for a line of a file or stdin, and "'X' is
+    neither an existing file nor valid graph6: ..." for the one literal,
+    whose line number is None.
 
     A decoded line that has no surrounding whitespace and starts with the
     canonical size prefix for its n is already the canonical encoding (the
@@ -128,9 +122,9 @@ def _decoded(lines: list[tuple[int | None, str]]) -> Iterator[tuple[str, None, G
         try:
             g = parse_graph6(line)
         except ParseError as exc:
-            if lineno is None:
-                raise
-            raise ParseError(f"line {lineno}: {exc}") from None
+            where = (f"{line!r} is neither an existing file nor valid graph6"
+                     if lineno is None else f"line {lineno}")
+            raise ParseError(f"{where}: {exc}") from None
         canonical = not line[-1].isspace() and line.startswith(graph6_size_prefix(g.n))
         yield line if canonical else encode_graph6(g), None, g
 

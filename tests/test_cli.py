@@ -86,6 +86,15 @@ def test_missing_file_is_named(capsys):
     assert "line 1" not in err
 
 
+def test_broken_symlink_is_named(capsys, tmp_path):
+    # os.path.exists follows the link to no file, so it is a literal
+    link = tmp_path / "in.g6"
+    link.symlink_to(tmp_path / "gone.g6")
+    code, out, err = run(capsys, "decide", str(link))
+    assert code == 2 and out == ""
+    assert f"error: {str(link)!r} is neither an existing file nor valid graph6" in err
+
+
 def test_directory_or_empty_argument_is_named(capsys, tmp_path):
     # any existing path but a directory is read as a file: "" (the current
     # directory as a path) and a directory are literals that do not decode;
@@ -291,6 +300,15 @@ def test_gen_bad_spec(capsys):
                 "random-regular:n=4,r=1,seed=1..5"):
         code, out, _ = run(capsys, "gen", "cycle:n=6", bad)
         assert code == 2 and out == "", bad
+
+
+def test_gen_stops_at_a_generator_that_gives_up(capsys):
+    # gen writes no skip rows: the lines before the spec stay written, and
+    # the run stops there with exit 3 and the generator's message
+    code, out, err = run(capsys, "gen", "cycle:n=4", "random-regular:n=14,r=6,seed=1")
+    assert (code, out) == (3, "Cl\n")
+    assert err == ("error: no simple connected pairing for n=14, r=6, seed=1 "
+                   "within 10000 attempts\n")
 
 
 def test_compare_cycles(capsys, tmp_path):

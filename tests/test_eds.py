@@ -7,9 +7,10 @@ from hypothesis import given
 
 from eds_audit.eds import verify_eds
 from eds_audit.graph import Graph
+from eds_audit.oracle import solve_exact
 
 from .conftest import (
-    closed_nbhd, complete, cycle, eds_by_definition, graph_and_set, hypercube, path, solve_naive,
+    closed_nbhd, complete, cycle, eds_by_definition, graph_and_set, hypercube, path,
 )
 
 
@@ -48,10 +49,11 @@ def test_verified_sets_dominate(case):
 
 
 def test_certificate_size_matches_bound():
-    # every EDS of a regular graph has exactly n/(r+1) members
+    # every EDS of a regular graph has exactly n/(r+1) members, the fact
+    # behind the oracle's short-circuit when r+1 does not divide n
     for g in (cycle(6), cycle(9), complete(5), hypercube(3), hypercube(1)):
         bound = g.n // (len(g.adj[0]) + 1)
-        report = solve_naive(g)
+        report = solve_exact(g, enumerate_all=True)
         assert report.has_eds
         for s in report.solutions:
             assert len(s) == bound
