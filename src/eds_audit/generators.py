@@ -7,7 +7,7 @@ the SplitMix64 generator so corpora are bit-reproducible.
 
 from typing import Callable, Iterator, NamedTuple
 
-from .graph import Graph, ParseError, is_connected
+from .graph import GRAPH6_MAX_N, Graph, ParseError, is_connected
 from .rng import SplitMix64
 
 PAIRING_RETRY_BUDGET = 10_000
@@ -18,10 +18,18 @@ class CapacityError(RuntimeError):
     """A generator ran out of its retry budget before it made a graph."""
 
 
+def _graph6_order(n: int) -> int:
+    """n, if a graph6 line can name a graph of n vertices: a spec whose graph
+    it cannot is refused, like any parameter out of range."""
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph exceeds graph6's limit of {GRAPH6_MAX_N} vertices")
+    return n
+
+
 def _check_cycle(n: int) -> int:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return n
+    return _graph6_order(n)
 
 
 def gen_cycle(n: int) -> Graph:
@@ -32,7 +40,7 @@ def gen_cycle(n: int) -> Graph:
 def _check_complete(n: int) -> int:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return n
+    return _graph6_order(n)
 
 
 def gen_complete(n: int) -> Graph:
@@ -44,7 +52,8 @@ def gen_complete(n: int) -> Graph:
 def _check_hypercube(d: int) -> int:
     if d < 1:
         raise ValueError("hypercube needs dimension >= 1")
-    return 1 << d
+    # 2^36 is already past graph6's limit, so no larger 1 << d is made
+    return _graph6_order(1 << min(d, 36))
 
 
 def gen_hypercube(d: int) -> Graph:
@@ -60,7 +69,7 @@ def _check_circulant(n: int, offsets: tuple[int, ...]) -> int:
     for o in sorted(set(offsets)):
         if not 0 < o <= n // 2:
             raise ValueError(f"offset {o} outside 1..n/2")
-    return n
+    return _graph6_order(n)
 
 
 def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
@@ -74,9 +83,9 @@ def gen_circulant(n: int, offsets: tuple[int, ...]) -> Graph:
 def _check_petersen(n: int, k: int) -> int:
     if n < 3:
         raise ValueError("generalized Petersen needs n >= 3")
-    if not 1 <= k < n / 2:
+    if k < 1 or 2 * k >= n:
         raise ValueError("generalized Petersen needs 1 <= k < n/2")
-    return 2 * n
+    return _graph6_order(2 * n)
 
 
 def gen_petersen(n: int, k: int) -> Graph:
@@ -101,7 +110,7 @@ def _check_random_regular(n: int, r: int, seed: int) -> int:
     # graph of another seed under its own genspec
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed {seed} outside 0..{MAX_SEED}")
-    return n
+    return _graph6_order(n)
 
 
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:

@@ -16,6 +16,9 @@ VertexSet = frozenset[int]
 
 GRAPH6_HEADER = ">>graph6<<"
 
+# the largest vertex count graph6 can name: its longest size prefix holds 36 bits
+GRAPH6_MAX_N = 2**36 - 1
+
 # graph6 payload bytes live in [63, 126]: chr(63 + six-bit group).
 _G6_MIN = 63
 
@@ -80,20 +83,18 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, rejecting loops and duplicates."""
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        """Build a graph from an edge list.  ``Graph(n, adj)`` rejects a
+        negative n and loops; an edge list adds ids out of range and
+        repeated edges."""
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             if v in nbrs[u]:
                 raise ValueError(f"duplicate edge {u}-{v}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls._trusted(n, tuple(map(frozenset, nbrs)))
+        return cls(n, nbrs)
 
     # the answers of is_regular and is_connected, computed once per graph
     @cached_property
@@ -204,7 +205,7 @@ def graph6_size_prefix(n: int) -> str:
         return chr(n + _G6_MIN)
     if n <= 258047:
         return "~" + "".join(chr(_G6_MIN + (n >> s & 63)) for s in (12, 6, 0))
-    if n <= 68719476735:
+    if n <= GRAPH6_MAX_N:
         return "~~" + "".join(chr(_G6_MIN + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))
     raise ValueError("graph too large for graph6")
 

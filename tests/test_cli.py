@@ -18,8 +18,8 @@ from eds_audit.graph import GRAPH6_HEADER, Graph, encode_graph6, parse_graph6
 from eds_audit.oracle import solve_exact
 
 from .conftest import (
-    COUNTEREXAMPLES, criterion1_corpus, cycle, path, petersen, probe_in, reference_reduce,
-    replay_mismatches, two_triangles,
+    COUNTEREXAMPLES, criterion1_corpus, cycle, petersen, probe_in, reference_reduce,
+    replay_mismatches,
 )
 
 
@@ -57,23 +57,6 @@ def test_decide_stdin(capsys, monkeypatch, tmp_path):
             docs = out_lines(out)
             assert [d["verdict"] for d in docs] == ["found", "found"], (data, source)
             assert docs[1]["certificate"] == [0, 3]
-
-
-def test_decide_precondition_rows(capsys, tmp_path):
-    p = tmp_path / "bad.g6"
-    p.write_text("\n".join(["?", encode_graph6(path(3)), encode_graph6(two_triangles())]) + "\n")
-    code, out, _ = run(capsys, "decide", encode_graph6(path(3)))
-    assert code == 2
-    assert out_lines(out)[0]["error"] == "not-regular"
-    reasons = ["empty-graph", "not-regular", "disconnected"]
-    code, out, _ = run(capsys, "decide", str(p))
-    assert code == 2
-    assert [doc["error"] for doc in out_lines(out)] == reasons
-    code, out, _ = run(capsys, "compare", "--deterministic", str(p))
-    assert code == 0
-    *rows, summary = out_lines(out)
-    assert [(row["kind"], row["reason"]) for row in rows] == [("skip", r) for r in reasons]
-    assert summary["skips"] == 3 and summary["records"] == 0
 
 
 def test_missing_file_is_named(capsys):
@@ -136,115 +119,165 @@ def test_max_n_below_one_is_a_usage_error(capsys, tmp_path, command):
     # a guard below 1 would turn every graph into a capacity row
     out_path = tmp_path / "rows.jsonl"
     out_args = [] if command == "oracle" else ["--out", str(out_path)]
-    for value in ("0", "-1"):
+    for value, why in (("0", "must be at least 1, got 0"), ("-1", "must be at least 1, got -1"),
+                       ("x", "invalid int value: 'x'")):
         out_path.write_text("kept\n")
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--max-n", value, *out_args, "Bw"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "", value
-        assert "--max-n: must be at least 1" in captured.err
+        assert captured.err.endswith(f"argument --max-n: {why}\n"), value
         assert out_path.read_text() == "kept\n"
     code, out, _ = run(capsys, command, "--max-n", "1", "@")
     assert code == 0 and out_lines(out)[0]["graph6"] == "@"
 
 
-@pytest.mark.parametrize("lines", ["?\nEhEG\n", "EhEG\n?\n"])
-def test_oracle_exit_is_the_largest_any_row_calls_for(capsys, monkeypatch, lines):
-    # decide's empty-graph row (exit 2) and a capacity row exit 3 in either order
-    monkeypatch.setattr("sys.stdin", stdin_bytes(lines.encode("ascii")))
-    code, out, _ = run(capsys, "oracle", "--max-n", "4", "-")
-    assert code == 3
-    assert sorted(doc["error"] for doc in out_lines(out)) == ["capacity", "empty-graph"]
-    assert '{"error":"empty-graph","graph6":"?"}' in out.splitlines()
+def shown(line: str) -> str:
+    """A stdout line as the table states it: a result row as its graph6, any other whole."""
+    row = json.loads(line)
+    if "error" in row or row.get("kind") in ("skip", "summary"):
+        return line
+    return row["graph6"]
 
 
-def row_shape(row: dict) -> tuple[str, str | None]:
-    """A row as its exit code sees it: an error row, a skip row, or a result."""
-    if "error" in row:
-        return "error", row["error"]
-    if row.get("kind") == "skip":
-        return "skip", row["reason"]
-    return "result", None
+# the table's other rows, each a template of its bytes
+def error(reason: str, graph6: str, message: str = "") -> str:
+    return f'{{"error":"{reason}","graph6":"{graph6}"{message}}}'
 
 
-RESULT = ("result", None)
-
-# decide's refusal row and compare's skip row for P3, byte for byte
-P3_FIRST_LINE = {
-    "decide": '{"error":"not-regular","graph6":"Bg"}',
-    "compare": '{"genspec":null,"graph6":"Bg","kind":"skip","n":3,"reason":"not-regular"}',
-}
+def capacity_error(graph6: str, n: int, guard: int) -> str:
+    return error("capacity", graph6, f',"message":"n={n} exceeds the oracle size guard {guard}"')
 
 
-# K3, the empty graph, the path P3, two disjoint triangles and C9 (n = 9,
-# above --max-n 8); each command's exit code and first row, in that order
-@pytest.mark.parametrize("command, expected", [
-    ("decide", [(0, RESULT), (2, ("error", "empty-graph")), (2, ("error", "not-regular")),
-                (2, ("error", "disconnected")), (0, RESULT)]),
-    ("oracle", [(0, RESULT), (2, ("error", "empty-graph")), (0, RESULT), (0, RESULT),
-                (3, ("error", "capacity"))]),
-    ("compare", [(0, RESULT), (0, ("skip", "empty-graph")), (0, ("skip", "not-regular")),
-                 (0, ("skip", "disconnected")), (3, ("skip", "capacity"))]),
-    ("audit-facts", [(0, RESULT), (0, ("skip", "empty-graph")), (0, RESULT), (0, RESULT),
-                     (3, ("skip", "capacity"))]),
-])
-def test_exit_code_table(capsys, command, expected):
-    guard = [] if command == "decide" else ["--max-n", "8"]
-    for graph6, want in zip(["Bw", "?", "Bg", "EwCW", "HhCGGE@"], expected):
-        code, out, _ = run(capsys, command, *guard, graph6)
-        assert (code, row_shape(out_lines(out)[0])) == want, graph6
-        if graph6 == "Bg" and command in P3_FIRST_LINE:
-            assert out.splitlines()[0] == P3_FIRST_LINE[command]
+def skip(reason: str, n: int, graph6: str = "", genspec: str | None = None) -> str:
+    spec = "null" if genspec is None else f'"{genspec}"'
+    return f'{{"genspec":{spec},"graph6":"{graph6}","kind":"skip","n":{n},"reason":"{reason}"}}'
 
 
-def test_refusals_and_the_size_guard_in_order(capsys):
-    # two disjoint triangles above --max-n 4: compare refuses a disconnected
-    # graph before its guard applies; oracle and audit-facts refuse only the
-    # empty graph, so the guard is what stops them
-    skip = '{"genspec":null,"graph6":"EwCW","kind":"skip","n":6,"reason":"%s"}'
-    for command, expected in (
-            ("compare", (0, skip % "disconnected")),
-            ("audit-facts", (3, skip % "capacity")),
-            ("oracle", (3, '{"error":"capacity","graph6":"EwCW",'
-                           '"message":"n=6 exceeds the oracle size guard 4"}'))):
-        code, out, _ = run(capsys, command, "--max-n", "4", "EwCW")
-        assert (code, out.splitlines()[0]) == expected, command
+# the summary lines, where no row disagrees and every audit row is sound
+def compared(records: int, skips: int, max_work: int = 0) -> str:
+    return (f'{{"agreement_rate":{"1.0" if records else "null"},"counterexamples":0,'
+            f'"kind":"summary","max_work_counter":{max_work},"records":{records},'
+            f'"skips":{skips},"total":{records + skips}}}')
+
+
+def audited(sound: int) -> str:
+    return f'{{"converse_findings":0,"kind":"summary","sound":{sound},"total":{sound}}}'
+
+
+K3, K0, P3, TWO_K3, C6, C9 = "Bw", "?", "Bg", "EwCW", "EhEG", "HhCGGE@"
+C20, C30, C128, C129 = (encode_graph6(cycle(n)) for n in (20, 30, 128, 129))
+AUDIT, DET = "audit-facts", ["compare", "--deterministic"]
+MAX8, MAX4 = ["--max-n", "8"], ["--max-n", "4"]
+GIVES_UP, BIG = "random-regular:n=14,r=6,seed=1", "cycle:n=1000000"
+PAST_GRAPH6 = {"petersen": "generalized-petersen:n=1" + "0" * 400 + ",k=1",
+               "hypercube": "hypercube:d=20000"}
+
+
+def gen(*specs: str) -> list[str]:
+    return [arg for spec in specs for arg in ("--gen", spec)]
+
+
+def case(id: str, argv: list[str], code: int, lines: list, stdin: str = "", err: str = ""):
+    return pytest.param(argv, stdin, code, lines, err, id=id)
+
+
+EXIT_TABLE = [
+    # K3, K0, P3, two disjoint triangles and C9 (n = 9, above --max-n 8)
+    case("decide-K3", ["decide", K3], 0, [K3]),
+    case("decide-K0", ["decide", K0], 2, [error("empty-graph", K0)]),
+    case("decide-P3", ["decide", P3], 2, [error("not-regular", P3)]),
+    case("decide-2K3", ["decide", TWO_K3], 2, [error("disconnected", TWO_K3)]),
+    case("decide-C9", ["decide", C9], 0, [C9]),
+    case("oracle-K3", ["oracle", *MAX8, K3], 0, [K3]),
+    case("oracle-K0", ["oracle", *MAX8, K0], 2, [error("empty-graph", K0)]),
+    case("oracle-P3", ["oracle", *MAX8, P3], 0, [P3]),
+    case("oracle-2K3", ["oracle", *MAX8, TWO_K3], 0, [TWO_K3]),
+    case("oracle-C9", ["oracle", *MAX8, C9], 3, [capacity_error(C9, 9, 8)]),
+    case("compare-K3", ["compare", *MAX8, K3], 0, [K3, compared(1, 0, 4)]),
+    case("compare-K0", ["compare", *MAX8, K0], 0, [skip("empty-graph", 0, K0), compared(0, 1)]),
+    case("compare-P3", ["compare", *MAX8, P3], 0, [skip("not-regular", 3, P3), compared(0, 1)]),
+    case("compare-2K3", ["compare", *MAX8, TWO_K3], 0,
+         [skip("disconnected", 6, TWO_K3), compared(0, 1)]),
+    case("compare-C9", ["compare", *MAX8, C9], 3, [skip("capacity", 9, C9), compared(0, 1)]),
+    case("audit-facts-K3", [AUDIT, *MAX8, K3], 0, [K3, audited(1)]),
+    case("audit-facts-K0", [AUDIT, *MAX8, K0], 0, [skip("empty-graph", 0, K0), audited(0)]),
+    case("audit-facts-P3", [AUDIT, *MAX8, P3], 0, [P3, audited(1)]),
+    case("audit-facts-2K3", [AUDIT, *MAX8, TWO_K3], 0, [TWO_K3, audited(1)]),
+    case("audit-facts-C9", [AUDIT, *MAX8, C9], 3, [skip("capacity", 9, C9), audited(0)]),
+    # a file of refusals: decide's error rows and compare's skip rows, in order
+    case("decide-refusals", ["decide", "-"], 2, [error("empty-graph", K0),
+         error("not-regular", P3), error("disconnected", TWO_K3)], "?\nBg\nEwCW\n"),
+    case("compare-refusals", [*DET, "-"], 0, [skip("empty-graph", 0, K0), skip(
+        "not-regular", 3, P3), skip("disconnected", 6, TWO_K3), compared(0, 3)], "?\nBg\nEwCW\n"),
+    # two disjoint triangles above --max-n 4: compare refuses them before its
+    # guard applies; oracle and audit-facts refuse only the empty graph
+    case("compare-2K3-refused", ["compare", *MAX4, TWO_K3], 0,
+         [skip("disconnected", 6, TWO_K3), compared(0, 1)]),
+    case("audit-facts-2K3-guarded", [AUDIT, *MAX4, TWO_K3], 3,
+         [skip("capacity", 6, TWO_K3), audited(0)]),
+    case("oracle-2K3-guarded", ["oracle", *MAX4, TWO_K3], 3, [capacity_error(TWO_K3, 6, 4)]),
+    # the largest code any row calls for, in either row order
+    case("oracle-K0-C6", ["oracle", *MAX4, "-"], 3,
+         [error("empty-graph", K0), capacity_error(C6, 6, 4)], "?\nEhEG\n"),
+    case("oracle-C6-K0", ["oracle", *MAX4, "-"], 3,
+         [capacity_error(C6, 6, 4), error("empty-graph", K0)], "EhEG\n?\n"),
+    case("compare-P3-C9", ["compare", *MAX8, "-"], 3,
+         [skip("not-regular", 3, P3), skip("capacity", 9, C9), compared(0, 2)], "Bg\nHhCGGE@\n"),
+    case("compare-C9-P3", ["compare", *MAX8, "-"], 3,
+         [skip("capacity", 9, C9), skip("not-regular", 3, P3), compared(0, 2)], "HhCGGE@\nBg\n"),
+    # a capacity skip mid-sweep: later graphs and the summary still come out
+    case("compare-capacity-mid-file", [*DET, "--max-n", "20", "-"], 3,
+         [C6, skip("capacity", 30, C30), C9, compared(2, 1, 24)], f"{C6}\n{C30}\n{C9}\n"),
+    case("audit-facts-capacity-mid-file", [AUDIT, "-"], 3,
+         [C6, skip("capacity", 30, C30), C9, audited(2)], f"{C6}\n{C30}\n{C9}\n"),
+    case("compare-gives-up-mid-sweep", [*DET, *gen("cycle:n=9", GIVES_UP, "cycle:n=12")], 3,
+         [C9, skip("capacity", 14, genspec=GIVES_UP), "KhCGGC@?G?o@", compared(2, 1, 42)]),
+    case("audit-facts-gives-up-mid-sweep", [AUDIT, *gen(f"{GIVES_UP}..2", "cycle:n=9")], 3,
+         [*(skip("capacity", 14, genspec=GIVES_UP[:-1] + seed) for seed in "12"), C9, audited(1)]),
+    # a spec above the guard is never built, under the default guard or a given one
+    *(case(f"{argv[0]}-unbuilt-{name}", [*argv, *guard, *gen(BIG, "cycle:n=9")], 3,
+           [skip("capacity", 10**6, genspec=BIG), C9, summary])
+      for argv, summary in ((DET, compared(1, 1, 24)), ([AUDIT], audited(1)))
+      for name, guard in (("default", []), ("given", ["--max-n", "999999"]))),
+    # the default guards admit n = 128 and, for audit-facts, n = 20
+    case("compare-default-128", ["compare", *gen("cycle:n=128")], 0, [C128, compared(1, 0, 8122)]),
+    case("compare-default-129", ["compare", *gen("cycle:n=129")], 3,
+         [skip("capacity", 129, genspec="cycle:n=129"), compared(0, 1)]),
+    case("oracle-default-128", ["oracle", C128], 0, [C128]),
+    case("oracle-default-129", ["oracle", C129], 3, [capacity_error(C129, 129, 128)]),
+    case("audit-facts-default-20", [AUDIT, *gen("cycle:n=20")], 0, [C20, audited(1)]),
+    case("audit-facts-default-21", [AUDIT, *gen("cycle:n=21")], 3,
+         [skip("capacity", 21, genspec="cycle:n=21"), audited(0)]),
+    # 2^35 vertices are a capacity skip; 2n or 2^d past graph6's limit (2^36 - 1) gets no row
+    case("compare-hypercube-35", ["compare", *gen("hypercube:d=35")], 3,
+         [skip("capacity", 2**35, genspec="hypercube:d=35"), compared(0, 1)]),
+    *(case(f"{argv[0]}-{name}-past-graph6", [*argv, spec], 2, [],
+           err="error: graph exceeds graph6's limit of 68719476735 vertices\n")
+      for name, spec in PAST_GRAPH6.items()
+      for argv in (["gen"], ["compare", *gen("cycle:n=6"), "--gen"],
+                   [AUDIT, *gen("cycle:n=6"), "--gen"])),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, lines, err", EXIT_TABLE)
+def test_exit_code_table(capsys, monkeypatch, argv, stdin, code, lines, err):
+    guard, real = getattr(cli.build_parser().parse_args(argv), "max_n", None), GenSpec.build
+
+    def build(spec):  # a --gen spec above the row's guard, given or default, is never built
+        assert guard is None or spec.order <= guard, f"built {spec.canonical()}"
+        return real(spec)
+
+    monkeypatch.setattr(GenSpec, "build", build)
+    monkeypatch.setattr("sys.stdin", stdin_bytes(stdin.encode("ascii")))
+    got, out, got_err = run(capsys, *argv)
+    assert (got, [shown(line) for line in out.splitlines()], got_err) == (code, lines, err)
 
 
 def test_exit_code_of_each_row_shape():
-    # only a capacity row or skip calls for 3 and any other error row for 2;
-    # a decide row's "reason" is no skip reason
-    skip = {"kind": "skip", "graph6": "Bg", "n": 3, "genspec": None}
-    assert [cli._exit_code(row) for row in (
-        {"graph6": "Bw", "verdict": "found", "reason": None},
-        {"graph6": "Bw", "verdict": "none-exists", "reason": "candidates-exhausted"},
-        {"graph6": "Bw", "has_eds": True, "nodes_explored": 2, "solutions": [[0]]},
-        {"kind": "record", "agree": False, "decide_reason": "candidates-exhausted"},
-        {"kind": "audit", "graph6": "Bw", "sound": False},
-        {**skip, "reason": "empty-graph"},
-        {**skip, "reason": "not-regular"},
-        {**skip, "reason": "disconnected"},
-        {"graph6": "?", "error": "empty-graph"},
-        {"graph6": "Bg", "error": "not-regular"},
-        {"graph6": "EwCW", "error": "disconnected"},
-        {**skip, "reason": "capacity"},
-        {"graph6": "HhCGGE@", "error": "capacity", "message": "n=9 exceeds"},
-    )] == [0] * 8 + [2] * 3 + [3] * 2
-
-
-def test_compare_exit_code_with_a_capacity_row_anywhere(capsys, monkeypatch):
-    # the unbuilt --gen skip calls for 3, and so does a capacity skip before
-    # or after a not-regular skip
-    code, out, _ = run(capsys, "compare", "--max-n", "8", "--gen", "cycle:n=9")
-    assert code == 3
-    assert out_lines(out)[0] == {"genspec": "cycle:n=9", "graph6": "", "kind": "skip",
-                                 "n": 9, "reason": "capacity"}
-    for lines in ("Bg\nHhCGGE@\n", "HhCGGE@\nBg\n"):
-        monkeypatch.setattr("sys.stdin", stdin_bytes(lines.encode("ascii")))
-        code, out, _ = run(capsys, "compare", "--max-n", "8", "-")
-        assert code == 3, lines
-        assert sorted(row_shape(row) for row in out_lines(out)[:2]) == [
-            ("skip", "capacity"), ("skip", "not-regular")], lines
+    # the table runs every other row shape through a command; an unsound
+    # audit row needs a broken filter or probe, and is a finding, not a failure
+    assert cli._exit_code({"kind": "audit", "graph6": "Bw", "sound": False}) == 0
 
 
 def test_gen_cycle_line(capsys):
@@ -327,36 +360,6 @@ def test_compare_cycles(capsys, tmp_path):
     summary = out_lines(out)[-1]
     assert summary["kind"] == "summary"
     assert summary["records"] == 28 and summary["agreement_rate"] == 1.0
-
-
-def test_compare_capacity_skip_continues(capsys, tmp_path):
-    # a graph above the oracle guard becomes a skip row; later graphs and
-    # the summary still come out, and the exit code reports the capacity hit
-    p = tmp_path / "in.txt"
-    p.write_text("".join(encode_graph6(g) + "\n" for g in (cycle(6), cycle(30), cycle(9))))
-    code, out, _ = run(capsys, "compare", "--deterministic", "--max-n", "20", str(p))
-    assert code == 3
-    rows = out_lines(out)
-    assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
-    assert rows[1]["reason"] == "capacity" and rows[1]["n"] == 30
-    assert [rows[0]["n"], rows[2]["n"]] == [6, 9]
-    assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
-
-
-def test_compare_generator_capacity_skip_continues(capsys):
-    # r = 6 on 14 vertices exhausts the pairing budget: no graph exists, so
-    # the row is a capacity skip, and later specs and the summary still run
-    code, out, _ = run(capsys, "compare", "--deterministic",
-                       "--gen", "cycle:n=9",
-                       "--gen", "random-regular:n=14,r=6,seed=1",
-                       "--gen", "cycle:n=12")
-    assert code == 3
-    rows = out_lines(out)
-    assert [r["kind"] for r in rows] == ["record", "skip", "record", "summary"]
-    assert rows[1] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 14,
-                       "genspec": "random-regular:n=14,r=6,seed=1"}
-    assert [rows[0]["n"], rows[2]["n"]] == [9, 12]
-    assert rows[3]["total"] == 3 and rows[3]["skips"] == 1
 
 
 def test_compare_unwritable_out(capsys, tmp_path):
@@ -472,69 +475,6 @@ def test_audit_facts_cycles(capsys, tmp_path):
         assert row["confluence_violations"] == []
     summary = out_lines(out)[-1]
     assert summary["sound"] == summary["total"] == 10
-    code, out, _ = run(capsys, "audit-facts", "--gen", "cycle:n=9")
-    assert code == 0
-    assert out.splitlines()[-1] == \
-        '{"converse_findings":0,"kind":"summary","sound":1,"total":1}'
-
-
-def test_oversize_gen_specs_are_skipped_unbuilt(capsys, monkeypatch):
-    # a spec above the size guard gets its capacity row from its family's
-    # range check: building a million-vertex cycle, let alone encoding it,
-    # is never tried
-    real, big = GenSpec.build, "cycle:n=1000000"
-
-    def guarded(spec):
-        if spec.canonical() == big:
-            raise AssertionError(f"built {big}")
-        return real(spec)
-
-    monkeypatch.setattr(GenSpec, "build", guarded)
-    for argv, summary in (
-            (["compare", "--deterministic"], {"records": 1, "skips": 1, "total": 2}),
-            (["audit-facts"], {"total": 1, "sound": 1}),
-            (["compare", "--deterministic", "--max-n", "9"], {"records": 1, "skips": 1}),
-            (["audit-facts", "--max-n", "9"], {"total": 1, "sound": 1})):
-        code, out, _ = run(capsys, *argv, "--gen", big, "--gen", "cycle:n=9")
-        assert code == 3, argv
-        rows = out_lines(out)
-        assert rows[0] == {"kind": "skip", "reason": "capacity", "graph6": "", "n": 1_000_000,
-                           "genspec": big}, argv
-        assert rows[1]["n"] == 9 and len(rows) == 3, argv
-        assert summary.items() <= rows[2].items(), argv
-
-
-def test_default_size_guards_at_their_boundaries(capsys):
-    # with no --max-n, oracle and compare admit n = 128 and audit-facts n = 20;
-    # one vertex more is a capacity row and exit 3
-    for n, code_want in ((128, 0), (129, 3)):
-        skip = {"kind": "skip", "reason": "capacity", "graph6": "", "n": n,
-                "genspec": f"cycle:n={n}"}
-        code, out, _ = run(capsys, "compare", "--deterministic", "--gen", f"cycle:n={n}")
-        row = out_lines(out)[0]
-        assert code == code_want, n
-        assert row["kind"] == "record" if n == 128 else row == skip, n
-        code, out, _ = run(capsys, "oracle", encode_graph6(cycle(n)))
-        row = out_lines(out)[0]
-        assert code == code_want, n
-        assert ("error" not in row) if n == 128 else row["error"] == "capacity", n
-    for n, code_want in ((20, 0), (21, 3)):
-        code, out, _ = run(capsys, "audit-facts", "--gen", f"cycle:n={n}")
-        row = out_lines(out)[0]
-        assert code == code_want, n
-        assert row["kind"] == "audit" if n == 20 else row["reason"] == "capacity", n
-
-
-def test_audit_facts_generator_capacity_skip_continues(capsys):
-    code, out, _ = run(capsys, "audit-facts", "--gen", "random-regular:n=14,r=6,seed=1..2",
-                       "--gen", "cycle:n=9")
-    assert code == 3
-    rows = out_lines(out)
-    assert [r["kind"] for r in rows] == ["skip", "skip", "audit", "summary"]
-    assert [(r["reason"], r["graph6"], r["n"], r["genspec"]) for r in rows[:2]] == [
-        ("capacity", "", 14, f"random-regular:n=14,r=6,seed={seed}") for seed in (1, 2)]
-    assert rows[2]["n"] == 9 and rows[2]["sound"] is True
-    assert rows[3] == {"kind": "summary", "total": 1, "sound": 1, "converse_findings": 0}
 
 
 def audit_c6() -> tuple[str, None, Graph]:

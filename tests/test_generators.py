@@ -16,7 +16,9 @@ from eds_audit.generators import (
     PAIRING_RETRY_BUDGET, CapacityError, GenSpec, gen_circulant, gen_complete, gen_cycle,
     gen_hypercube, gen_petersen, gen_random_regular, parse_genspec, parse_genspecs,
 )
-from eds_audit.graph import Graph, ParseError, encode_graph6, is_connected, is_regular
+from eds_audit.graph import (
+    GRAPH6_MAX_N, Graph, ParseError, encode_graph6, is_connected, is_regular,
+)
 from eds_audit.rng import SplitMix64, rank_permutation
 
 from .conftest import cycle, petersen, reference_edges
@@ -65,6 +67,24 @@ def test_parameter_validation():
         gen_random_regular(5, 3, 1)
     with pytest.raises(ValueError):
         gen_random_regular(3, 3, 1)
+    with pytest.raises(ValueError, match="circulant needs n >= 1"):
+        gen_circulant(0, (1,))
+    with pytest.raises(ValueError, match="needs n >= 3"):
+        gen_petersen(2, 1)
+    # k < n/2 in integers: a float n/2 overflows for this n
+    with pytest.raises(ValueError, match="1 <= k < n/2"):
+        gen_petersen(10**400, 5 * 10**399)
+    # a graph with more vertices than graph6 can name is out of range too
+    limit = GRAPH6_MAX_N
+    for spec in (("cycle", (limit + 1,)), ("complete", (limit + 1,)), ("hypercube", (36,)),
+                 ("hypercube", (20000,)), ("circulant", (limit + 1, (1,))),
+                 ("generalized-petersen", (2**35, 1)), ("generalized-petersen", (10**400, 1)),
+                 ("random-regular", (limit + 1, 3, 1))):
+        with pytest.raises(ValueError, match=f"graph6's limit of {limit} vertices"):
+            GenSpec(*spec).build()
+    assert [GenSpec(*spec).order for spec in (
+        ("cycle", (limit,)), ("hypercube", (35,)), ("generalized-petersen", (2**35 - 1, 1)))] == [
+        limit, 2**35, limit - 1]
 
 
 def _reference_random_regular(n: int, r: int, seed: int):

@@ -23,6 +23,8 @@ def test_construction_validates():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="edge 0-5 out of range"):
+        Graph.from_edges(2, [(1, 1), (0, 5)])  # an id is checked before it indexes
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, (frozenset({1}), frozenset()))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -49,8 +51,8 @@ def edge_lists(draw, max_n=40):
 
 @given(edge_lists())
 def test_unchecked_constructions_equal_the_validated_graph(case):
-    # from_edges and parse_graph6 skip Graph's per-edge checks; what they
-    # build must be the graph that the checked constructor accepts
+    # parse_graph6 skips Graph's per-edge checks, and from_edges builds
+    # through them; each must build the graph the checked constructor accepts
     n, edges = case
     adj = tuple(frozenset({v for u, v in edges if u == x} | {u for u, v in edges if v == x})
                 for x in range(n))

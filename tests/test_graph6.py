@@ -8,7 +8,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eds_audit.graph import GRAPH6_HEADER, Graph, ParseError, encode_graph6, parse_graph6
+from eds_audit.graph import (
+    GRAPH6_HEADER, GRAPH6_MAX_N, Graph, ParseError, encode_graph6, graph6_size_prefix, parse_graph6,
+)
 
 from .conftest import complete, cycle, graphs, hypercube, petersen
 
@@ -160,6 +162,14 @@ def test_long_form_counts():
         assert parse_graph6(text) == nx_decode(text) == g
 
 
+def test_size_prefix_forms():
+    # one byte to n = 62, "~" and 3 bytes to 258047, "~~" and 6 bytes to 2^36 - 1
+    assert [graph6_size_prefix(n) for n in (62, 63, 258047, 258048, GRAPH6_MAX_N)] == [
+        "}", "~??~", "~}~~", "~~???~??", "~~~~~~~~"]
+    with pytest.raises(ValueError, match="too large"):
+        graph6_size_prefix(GRAPH6_MAX_N + 1)
+
+
 def test_long_form_accepted_for_small_n():
     # noncanonical long-form headers still decode, the 8-byte "~~" one too
     assert parse_graph6("~??Bw") == complete(3)
@@ -167,36 +177,6 @@ def test_long_form_accepted_for_small_n():
         assert decode_outcome(parse_graph6, text) == decode_outcome(reference_parse_graph6, text)
     assert parse_graph6("~~?????Bw") == complete(3)
     assert parse_graph6("~~????@?" + encode_graph6(cycle(64))[4:]) == cycle(64)
-
-
-def test_invalid_byte_offset():
-    with pytest.raises(ParseError, match="invalid graph6 byte.*offset 1"):
-        parse_graph6("B!")
-    with pytest.raises(ParseError, match="non-ASCII.*offset 0"):
-        parse_graph6("é")
-
-
-def test_truncated():
-    with pytest.raises(ParseError, match="truncated"):
-        parse_graph6("D")  # n=5 needs payload bytes
-    with pytest.raises(ParseError, match="truncated"):
-        parse_graph6("~?")  # long form cut short
-    with pytest.raises(ParseError, match="empty"):
-        parse_graph6("   ")
-
-
-def test_trailing_garbage():
-    with pytest.raises(ParseError, match="trailing garbage.*offset 2"):
-        parse_graph6("Bww")
-    with pytest.raises(ParseError, match="trailing garbage"):
-        parse_graph6("@@")
-
-
-def test_nonzero_padding_rejected():
-    # K_3 payload uses 3 of 6 bits; force a padding bit on
-    bad = "B" + chr(63 + 0b111100)
-    with pytest.raises(ParseError, match="padding"):
-        parse_graph6(bad)
 
 
 @given(graphs(min_n=0, max_n=30))
@@ -257,7 +237,8 @@ def test_error_order_matches_reference():
     # each fault kind, and faults that compete for the first report
     cases = ["B!", "B", "Bw!", "Bw~!", "B~", "~", "~?", "~!", "~?!", "~~", "~~??", "~~???!",
              "~~~~~~~~", "~~~~~~~~!", "~?@@" + "?" * 10, "~?A?" + "?" * 10 + "!", "D!???",
-             "D?!??", "D~~", "  " + GRAPH6_HEADER + "D??é", "é"]
+             "D?!??", "D~~", "  " + GRAPH6_HEADER + "D??é", "é", "D", "   ", "Bww", "@@",
+             "B{"]  # "B{" sets a padding bit of K3's payload
     for text in cases:
         assert decode_outcome(parse_graph6, text) == decode_outcome(reference_parse_graph6, text)
         assert decode_outcome(parse_graph6, text)[0] == "error"
