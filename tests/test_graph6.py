@@ -179,6 +179,36 @@ def test_long_form_accepted_for_small_n():
     assert parse_graph6("~~????@?" + encode_graph6(cycle(64))[4:]) == cycle(64)
 
 
+def test_invalid_byte_offset():
+    with pytest.raises(ParseError, match="invalid graph6 byte.*offset 1"):
+        parse_graph6("B!")
+    with pytest.raises(ParseError, match="non-ASCII.*offset 0"):
+        parse_graph6("é")
+
+
+def test_truncated():
+    with pytest.raises(ParseError, match="truncated"):
+        parse_graph6("D")  # n=5 needs payload bytes
+    with pytest.raises(ParseError, match="truncated"):
+        parse_graph6("~?")  # long form cut short
+    with pytest.raises(ParseError, match="empty"):
+        parse_graph6("   ")
+
+
+def test_trailing_garbage():
+    with pytest.raises(ParseError, match="trailing garbage.*offset 2"):
+        parse_graph6("Bww")
+    with pytest.raises(ParseError, match="trailing garbage"):
+        parse_graph6("@@")
+
+
+def test_nonzero_padding_rejected():
+    # K_3 payload uses 3 of 6 bits; force a padding bit on
+    bad = "B" + chr(63 + 0b111100)
+    with pytest.raises(ParseError, match="padding"):
+        parse_graph6(bad)
+
+
 @given(graphs(min_n=0, max_n=30))
 @settings(max_examples=60)
 def test_roundtrip_random(g):
